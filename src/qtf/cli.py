@@ -8,8 +8,7 @@ can consume JSON cleanly.  Exit codes: 0 success, 1 usage/config error,
 Every report embeds a run manifest (tool version, subcommand, resolved
 configuration, content digest of the input, seed) and contains no
 timestamps: two runs with equal manifests produce byte-identical
-reports, independent of worker-thread count.  ``QTF_SEED`` overrides
-the config seed for ``simulate``.
+reports.  ``QTF_SEED`` overrides the config seed for ``simulate``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .constants import constants_snapshot
+from .constants import constants_snapshot, get_paper_values
 from .errors import DataError, DomainError
 from .montecarlo import (
     AccrualConfig,
@@ -44,7 +43,14 @@ from .thermo import (
     audit_against_paper,
     compute_budget,
 )
-from .tracks import emit_summary, parse_dataset, report_to_dict, sci, solvency_report
+from .tracks import (
+    emit_summary,
+    parse_dataset,
+    report_to_dict,
+    resolve_momentum,
+    sci,
+    solvency_report,
+)
 
 SEED_ENV_VAR = "QTF_SEED"
 
@@ -199,6 +205,17 @@ def _require_keys(config: dict, required: set[str], allowed: set[str]) -> None:
         raise DomainError(f"config has unknown keys: {sorted(unknown)}")
 
 
+def _config_int(config: dict, key: str, default: int | None = None) -> int:
+    """An integer config value; integral floats such as 1e6 are accepted,
+    booleans, strings and non-integral numbers are not."""
+    value = config.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_distribution(spec: dict) -> Lognormal | Uniform:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("distribution must be an object with a 'kind' key")
@@ -266,32 +283,28 @@ def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -
     mode = config["mode"]
     sim = SimConfig(
         seed=seed,
-        n_tracks=int(config["n_tracks"]),
+        n_tracks=_config_int(config, "n_tracks"),
         distribution=_parse_distribution(config["distribution"]),
         particle=_parse_particle(config.get("particle")),
         momentum_source=config.get("momentum_source", "paper"),
-        floor_n=float(config.get("floor_n", 1e12)),
-        workers=int(config.get("workers", 1)),
+        floor_n=float(config.get("floor_n", get_paper_values().floor_n)),
+        workers=_config_int(config, "workers", 1),
     )
     dataset = generate_tracks(sim)
+    if mode == "censor":
+        momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
+        censored = censor_at_floor(dataset, sim.floor_n, momentum)
+        if not len(censored):
+            raise DataError(
+                f"all {len(dataset)} tracks fall below floor {sim.floor_n!r}"
+            )
+        dataset = censored
     report = solvency_report(
         dataset,
         particle=sim.particle,
         momentum_source=sim.momentum_source,
         floor_n=sim.floor_n,
     )
-    if mode == "censor":
-        censored = censor_at_floor(dataset, sim.floor_n, report.momentum_used)
-        if not censored.records:
-            raise DataError(
-                f"all {len(dataset.records)} tracks fall below floor {sim.floor_n!r}"
-            )
-        report = solvency_report(
-            censored,
-            particle=sim.particle,
-            momentum_source=sim.momentum_source,
-            floor_n=sim.floor_n,
-        )
     sim_section = {
         "mode": mode,
         "seed": seed,
@@ -382,10 +395,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     seed: int | None = None
     if mode in ("tracks", "censor"):
         _require_keys(config, {"mode", "seed", "n_tracks", "distribution"}, _TRACK_KEYS)
-        try:
-            seed = int(config["seed"])
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"seed must be an integer, got {config['seed']!r}") from exc
+        seed = _config_int(config, "seed")
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             try:
@@ -433,7 +443,9 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help="input file, one radius per row")
     p.add_argument("--unit", choices=["mm", "m"], default="mm")
     p.add_argument("--momentum", choices=["paper", "derived"], default="paper")
-    p.add_argument("--floor", type=float, default=1e12, help="action floor n")
+    p.add_argument(
+        "--floor", type=float, default=get_paper_values().floor_n, help="action floor n"
+    )
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_analyze)

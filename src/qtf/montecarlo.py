@@ -6,8 +6,9 @@ Two experiment families:
   configured radius distribution, then remove every track whose
   solvency index falls below a floor, modeling the all-or-nothing
   rendering rule.  Generation is counter-based (see :mod:`qtf.rng`):
-  track i of a run depends only on (seed, i), so output is identical
-  for any worker count or scheduling.
+  track i of a run depends only on (seed, i), and a whole population is
+  drawn in one vectorized pass that equals the per-index definition bit
+  for bit.
 * budget accrual -- discrete-time insolvency: cost and available work
   both grow linearly and collapse fires at the first step where
   cumulative cost strictly exceeds the available budget.  The closed
@@ -18,14 +19,15 @@ Two experiment families:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .constants import PhysConsts, get_consts, get_paper_values
+import numpy as np
+
+from .constants import PhysConsts, get_paper_values
 from .errors import DataError, DomainError
-from .rng import std_normal, unit_uniform
-from .solvency import ParticleSpec, action_index
-from .tracks import TrackDataset, TrackRecord
+from .rng import libm_map, std_normal_range, unit_uniform_range
+from .solvency import ParticleSpec, n_real_values
+from .tracks import TrackDataset
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,15 @@ class Lognormal:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
-    def sample(self, seed: int, index: int) -> float:
-        return math.exp(self.mu + self.sigma * std_normal(seed, index))
+    def sample(self, seed: int, n: int) -> np.ndarray:
+        """Draws 0..n-1: draw i is exp(mu + sigma * std_normal(seed, i))."""
+        exponents = self.mu + self.sigma * std_normal_range(seed, n)
+        try:
+            return libm_map(math.exp, exponents)
+        except OverflowError:
+            raise DomainError(
+                f"lognormal draw overflows: exp({float(exponents.max())!r})"
+            ) from None
 
     def describe(self) -> dict:
         return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
@@ -61,8 +70,9 @@ class Uniform:
         if not (math.isfinite(self.hi) and self.hi > self.lo):
             raise DomainError(f"hi must be finite and > lo, got {self.hi}")
 
-    def sample(self, seed: int, index: int) -> float:
-        return self.lo + (self.hi - self.lo) * unit_uniform(seed, index)
+    def sample(self, seed: int, n: int) -> np.ndarray:
+        """Draws 0..n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i)."""
+        return self.lo + (self.hi - self.lo) * unit_uniform_range(seed, n)
 
     def describe(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -81,12 +91,17 @@ def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
     return Lognormal(mu=math.log(mean) - s2 / 2.0, sigma=math.sqrt(s2))
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Synthetic track population configuration.
 
-    ``workers`` is an execution detail under the determinism contract:
-    it never changes the output and is excluded from run manifests.
+    ``workers`` is accepted for compatibility and ignored: generation
+    is a single vectorized pass, so it can never change the output.  It
+    is excluded from run manifests.
     """
 
     seed: int
@@ -98,14 +113,14 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.n_tracks, int) and self.n_tracks >= 1):
-            raise DomainError(f"n_tracks must be an integer >= 1, got {self.n_tracks}")
+        if not (_is_int(self.n_tracks) and self.n_tracks >= 1):
+            raise DomainError(f"n_tracks must be an integer >= 1, got {self.n_tracks!r}")
         if not (math.isfinite(self.floor_n) and self.floor_n >= 0):
             raise DomainError(f"floor_n must be finite and >= 0, got {self.floor_n}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise DomainError(f"workers must be an integer >= 1, got {self.workers}")
+        if not (_is_int(self.workers) and self.workers >= 1):
+            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -147,34 +162,24 @@ class AccrualOutcome:
 def generate_tracks(config: SimConfig) -> TrackDataset:
     """Draw ``n_tracks`` radii deterministically from (seed, index).
 
-    Identical configs produce identical datasets regardless of
-    ``workers``; the seed keys every per-index draw.
+    Track i + 1 gets draw i of the seed's stream, so identical configs
+    produce identical datasets (``workers`` is ignored).
     """
     dist = config.distribution
-    seed = config.seed
-
-    def draw(index: int) -> float:
-        radius = dist.sample(seed, index)
-        if not (math.isfinite(radius) and radius > 0):
-            raise DomainError(
-                f"distribution produced non-positive radius {radius} at {index}"
-            )
-        return radius
-
-    if config.workers == 1:
-        radii = [draw(i) for i in range(config.n_tracks)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            radii = list(pool.map(draw, range(config.n_tracks)))
-
-    records = tuple(
-        TrackRecord(id=i + 1, radius=r) for i, r in enumerate(radii)
-    )
+    radii = dist.sample(config.seed, config.n_tracks)
+    bad = ~(np.isfinite(radii) & (radii > 0))
+    if bad.any():
+        index = int(bad.argmax())
+        raise DomainError(
+            f"distribution produced radius {float(radii[index])} at {index};"
+            " radii must be finite and > 0"
+        )
     label = (
-        f"synthetic:{dist.describe()['kind']}:seed={seed}:n={config.n_tracks}"
+        f"synthetic:{dist.describe()['kind']}:seed={config.seed}:n={config.n_tracks}"
     )
     return TrackDataset(
-        records=records,
+        ids=np.arange(1, config.n_tracks + 1),
+        radii=radii,
         source_label=label,
         rows_read=config.n_tracks,
         rows_dropped=0,
@@ -187,26 +192,22 @@ def censor_at_floor(
     momentum: float,
     consts: PhysConsts | None = None,
 ) -> TrackDataset:
-    """Keep exactly the records whose solvency index clears the floor.
+    """Keep exactly the tracks whose solvency index clears the floor.
 
-    Records retain their original ids; the censored count shows up as
+    Tracks retain their original ids; the censored count shows up as
     dropped rows in the returned dataset's provenance.
     """
     if not (math.isfinite(momentum) and momentum > 0):
         raise DomainError(f"momentum must be finite and > 0, got {momentum}")
     if not (math.isfinite(floor_n) and floor_n >= 0):
         raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
-    consts = consts or get_consts()
-    kept = tuple(
-        rec
-        for rec in dataset.records
-        if action_index(rec.radius, momentum, consts).n_real >= floor_n
-    )
+    keep = n_real_values(dataset.radii, momentum, consts) >= floor_n
     return TrackDataset(
-        records=kept,
+        ids=dataset.ids[keep],
+        radii=dataset.radii[keep],
         source_label=f"{dataset.source_label}|floor={floor_n!r}",
-        rows_read=len(dataset.records),
-        rows_dropped=len(dataset.records) - len(kept),
+        rows_read=len(dataset),
+        rows_dropped=len(dataset) - int(keep.sum()),
     )
 
 
@@ -246,19 +247,16 @@ def sweep_prediction_1(
 
 
 def ks_statistic(a: TrackDataset, b: TrackDataset) -> float:
-    """Two-sample Kolmogorov-Smirnov D statistic over radii, in [0, 1]."""
-    if not a.records or not b.records:
+    """Two-sample Kolmogorov-Smirnov D statistic over radii, in [0, 1].
+
+    Both empirical CDFs are evaluated at every pooled value; D is the
+    largest gap between them.
+    """
+    if not len(a) or not len(b):
         raise DataError("ks_statistic requires two non-empty datasets")
-    xs = sorted(a.radii)
-    ys = sorted(b.radii)
-    n, m = len(xs), len(ys)
-    d = 0.0
-    i = j = 0
-    while i < n and j < m:
-        value = xs[i] if xs[i] <= ys[j] else ys[j]
-        while i < n and xs[i] <= value:
-            i += 1
-        while j < m and ys[j] <= value:
-            j += 1
-        d = max(d, abs(i / n - j / m))
-    return d
+    xs = np.sort(a.radii)
+    ys = np.sort(b.radii)
+    pooled = np.concatenate((xs, ys))
+    cdf_a = np.searchsorted(xs, pooled, side="right") / xs.size
+    cdf_b = np.searchsorted(ys, pooled, side="right") / ys.size
+    return float(np.abs(cdf_a - cdf_b).max())

@@ -79,6 +79,18 @@ def action_index(
     return ActionIndex(n_real=n_real, n_quanta=n_quanta, action=n_quanta * consts.h)
 
 
+def n_real_values(radii, momentum: float, consts: PhysConsts | None = None):
+    """Continuous indices r*p/hbar of many radii (a numpy array) at once.
+
+    Element i equals ``action_index(radii[i], momentum, consts).n_real``
+    bit for bit; the radii are taken as already validated.
+    """
+    if not (math.isfinite(momentum) and momentum >= 0):
+        raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
+    consts = consts or get_consts()
+    return radii * momentum / consts.hbar
+
+
 def collapse_test(
     w_cumulative: float, w_available: float, *, inclusive: bool = False
 ) -> SolvencyResult:

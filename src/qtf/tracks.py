@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import PhysConsts, get_consts, get_paper_values
 from .errors import DataError, DomainError
-from .solvency import ParticleSpec, action_index, momentum_from_energy
+from .solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 
 MOMENTUM_PAPER = "paper-stated"
 MOMENTUM_DERIVED = "derived-from-spec"
@@ -46,25 +46,58 @@ class TrackRecord:
     radius: float
 
 
-@dataclass(frozen=True)
-class TrackDataset:
-    """Ordered, cleaned radius observations with ingest provenance."""
+def _read_only(values, dtype: type) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
-    records: tuple[TrackRecord, ...]
+
+@dataclass(frozen=True, eq=False)
+class TrackDataset:
+    """Ordered, cleaned radius observations with ingest provenance.
+
+    The tracks are held as two read-only columns of equal length:
+    ``ids`` (int64 ordinals) and ``radii`` (float64, meters).  The
+    constructor copies both.
+    """
+
+    ids: np.ndarray
+    radii: np.ndarray
     source_label: str
     rows_read: int
     rows_dropped: int
 
     def __post_init__(self) -> None:
-        if len(self.records) != self.rows_read - self.rows_dropped:
+        ids = _read_only(self.ids, np.int64)
+        radii = _read_only(self.radii, np.float64)
+        if ids.ndim != 1 or ids.shape != radii.shape:
+            raise DataError(f"ids {ids.shape} and radii {radii.shape} must be equal 1-d")
+        if ids.size != self.rows_read - self.rows_dropped:
             raise DataError(
-                f"record count {len(self.records)} != rows_read {self.rows_read}"
+                f"record count {ids.size} != rows_read {self.rows_read}"
                 f" - rows_dropped {self.rows_dropped}"
             )
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "radii", radii)
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackDataset):
+            return NotImplemented
+        return (
+            self.source_label == other.source_label
+            and self.rows_read == other.rows_read
+            and self.rows_dropped == other.rows_dropped
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.radii, other.radii)
+        )
 
     @property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(r.radius for r in self.records)
+    def records(self) -> tuple[TrackRecord, ...]:
+        """The tracks as records, built on every access (not for hot paths)."""
+        return tuple(map(TrackRecord, self.ids.tolist(), self.radii.tolist()))
 
 
 @dataclass(frozen=True)
@@ -82,16 +115,19 @@ class TrackStats:
     filtered_mean_radius: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvencyReport:
-    """Per-track solvency indices and their aggregates for one dataset."""
+    """Per-track solvency indices and their aggregates for one dataset.
+
+    ``n_values`` is a read-only array aligned with the dataset's tracks.
+    """
 
     dataset: TrackDataset
     stats: TrackStats
     momentum_used: float
     momentum_source: str
     floor_n: float
-    n_values: tuple[float, ...]
+    n_values: np.ndarray
     n_median: float
     n_filtered_mean: float
     n_min: float
@@ -107,7 +143,7 @@ def parse_dataset(
     Lines starting with ``#`` are ignored outright.  A non-numeric first
     row is treated as a header.  Every other row is counted: blank,
     non-numeric, non-finite, and non-positive rows are dropped (never
-    aborting the parse); valid rows become records in input order,
+    aborting the parse); valid rows become tracks in input order,
     converted to meters.  Undecodable bytes or zero valid rows are hard
     errors.
     """
@@ -120,7 +156,7 @@ def parse_dataset(
             raise DataError(f"input is not decodable as UTF-8: {exc}") from exc
 
     scale = 1e3 if unit == "mm" else 1.0
-    records: list[TrackRecord] = []
+    values: list[float] = []
     rows_read = 0
     rows_dropped = 0
     first_data_row = True
@@ -143,12 +179,13 @@ def parse_dataset(
         if value is None or not math.isfinite(value) or value <= 0:
             rows_dropped += 1
             continue
-        records.append(TrackRecord(id=len(records) + 1, radius=value / scale))
+        values.append(value)
 
-    if not records:
+    if not values:
         raise DataError(f"no valid radius rows in input ({source_label or 'text'})")
     return TrackDataset(
-        records=tuple(records),
+        ids=np.arange(1, len(values) + 1),
+        radii=np.array(values) / scale,
         source_label=source_label,
         rows_read=rows_read,
         rows_dropped=rows_dropped,
@@ -177,9 +214,9 @@ def compute_stats(dataset: TrackDataset, *, sample_sigma: bool = False) -> Track
     pure function of the multiset: shuffling input rows cannot move a
     result by even one ulp.
     """
-    if not dataset.records:
+    if not len(dataset):
         raise DataError("cannot compute statistics of an empty dataset")
-    radii = np.sort(np.asarray(dataset.radii, dtype=float))
+    radii = np.sort(dataset.radii)
     count = int(radii.size)
     mean = float(radii.mean())
     if count == 1:
@@ -245,10 +282,9 @@ def solvency_report(
     consts = consts or get_consts()
     stats = compute_stats(dataset, sample_sigma=sample_sigma)
     momentum, source = resolve_momentum(momentum_source, particle)
-    n_values = tuple(
-        action_index(rec.radius, momentum, consts).n_real for rec in dataset.records
-    )
-    n_min = min(n_values)
+    n_values = n_real_values(dataset.radii, momentum, consts)
+    n_values.flags.writeable = False
+    n_min = float(n_values.min())
     return SolvencyReport(
         dataset=dataset,
         stats=stats,
@@ -259,7 +295,7 @@ def solvency_report(
         n_median=action_index(stats.median_radius, momentum, consts).n_real,
         n_filtered_mean=action_index(stats.filtered_mean_radius, momentum, consts).n_real,
         n_min=n_min,
-        n_max=max(n_values),
+        n_max=float(n_values.max()),
         floor_satisfied=n_min >= floor_n,
     )
 
@@ -273,7 +309,7 @@ def report_to_dict(report: SolvencyReport) -> dict:
             "source_label": ds.source_label,
             "rows_read": ds.rows_read,
             "rows_dropped": ds.rows_dropped,
-            "count": len(ds.records),
+            "count": len(ds),
         },
         "momentum": {
             "value_kg_m_s": report.momentum_used,
@@ -300,14 +336,20 @@ def report_to_dict(report: SolvencyReport) -> dict:
         },
         "tracks": [
             {
-                "id": rec.id,
-                "radius_m": rec.radius,
+                "id": track_id,
+                "radius_m": radius,
                 "n_real": n,
                 "n_quanta": math.floor(n),
             }
-            for rec, n in zip(ds.records, report.n_values)
+            for track_id, radius, n in _track_rows(report)
         ],
     }
+
+
+def _track_rows(report: SolvencyReport):
+    """(id, radius, n_real) per track, as Python int/float for exact repr."""
+    ds = report.dataset
+    return zip(ds.ids.tolist(), ds.radii.tolist(), report.n_values.tolist())
 
 
 def sci(x: float, sig: int = 3) -> str:
@@ -327,8 +369,8 @@ def emit_summary(report: SolvencyReport, format: str = "json") -> str:
         return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     if format == "csv":
         lines = ["id,radius_m,n_real,n_quanta"]
-        for rec, n in zip(report.dataset.records, report.n_values):
-            lines.append(f"{rec.id},{rec.radius!r},{n!r},{math.floor(n)}")
+        for track_id, radius, n in _track_rows(report):
+            lines.append(f"{track_id},{radius!r},{n!r},{math.floor(n)}")
         return "\n".join(lines) + "\n"
     if format == "text":
         st = report.stats

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import qtf.cli
 from conftest import run_cli
+from qtf.constants import get_paper_values
 from qtf.tracks import fixture_path
 
 FIXTURE = str(fixture_path())
@@ -305,3 +308,106 @@ class TestReportSchema:
         assert set(doc) == {"manifest", "query", "budget", "audit", "reference"}
         record = doc["audit"]["records"][0]
         assert set(record) == {"quantity", "computed", "stated", "relative_gap", "flagged"}
+
+
+class TestConfigHardening:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": 1.9},
+            {"n_tracks": 2.7},
+            {"seed": 1.9, "n_tracks": 2.7},
+            {"seed": True},
+            {"n_tracks": True},
+            {"seed": "42"},
+            {"workers": 1.5},
+            {"workers": True},
+        ],
+    )
+    def test_non_integral_or_boolean_values_rejected(self, tmp_path, override):
+        proc = run_cli("simulate", write_config(tmp_path, {**CENSOR_CONFIG, **override}))
+        assert proc.returncode == 1
+        assert b"must be an integer" in proc.stderr
+        assert not proc.stdout
+
+    def test_integral_floats_accepted(self, tmp_path):
+        exact = json.loads(run_cli("simulate", write_config(tmp_path, CENSOR_CONFIG)).stdout)
+        floats = {**CENSOR_CONFIG, "seed": 42.0, "n_tracks": 228.0, "workers": 2.0}
+        doc = json.loads(run_cli("simulate", write_config(tmp_path, floats)).stdout)
+        assert doc["manifest"]["seed"] == 42
+        assert doc["tracks"] == exact["tracks"]
+
+    def test_overflowing_lognormal_is_config_error(self, tmp_path):
+        config = {
+            **CENSOR_CONFIG,
+            "distribution": {"kind": "lognormal", "mu": 800, "sigma": 1},
+        }
+        proc = run_cli("simulate", write_config(tmp_path, config))
+        assert proc.returncode == 1
+        assert b"overflow" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+
+class TestOneSourcePerDefault:
+    def test_analyze_floor_default_is_the_paper_floor(self):
+        args = qtf.cli._build_parser().parse_args(["analyze", FIXTURE])
+        assert args.floor == get_paper_values().floor_n
+
+    def test_censor_mode_builds_one_report(self, tmp_path, monkeypatch):
+        calls = []
+        original = qtf.cli.solvency_report
+
+        def counting(dataset, *args, **kwargs):
+            calls.append(len(dataset))
+            return original(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(qtf.cli, "solvency_report", counting)
+        out = tmp_path / "report.json"
+        config = write_config(tmp_path, {**CENSOR_CONFIG, "floor_n": 2e13})
+        assert qtf.cli.main(["simulate", config, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert calls == [doc["dataset"]["count"]]
+        assert 0 < doc["dataset"]["count"] < CENSOR_CONFIG["n_tracks"]
+
+
+# SHA-256 of simulate reports, recorded before the columnar rewrite of
+# track generation, censoring and reporting; the rewrite must not move a
+# byte of them.
+GOLDEN_CONFIGS = {
+    "lognormal": {
+        "seed": 11,
+        "n_tracks": 228,
+        "distribution": {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3},
+        "momentum_source": "derived",
+        "floor_n": 5e12,
+    },
+    "uniform": {
+        "seed": 11,
+        "n_tracks": 228,
+        "distribution": {"kind": "uniform", "lo_m": 1e-4, "hi_m": 2e-3},
+        "floor_n": 1e12,
+    },
+}
+GOLDEN_SHA256 = {
+    ("lognormal", "tracks", "json"): "0216b28c872c3eb2628739a04abfe62cff1b9d1325e6dc5a2447affa0c27b649",
+    ("lognormal", "tracks", "csv"): "fe6a1038c3edf260b9fba9f9ccd5b5d9d458388f0d61e2dc864ffc42a087f64f",
+    ("lognormal", "tracks", "text"): "e15fd2f2b320c9536467872ecba4f866a276defdc4b90758afc090a26ba15983",
+    ("lognormal", "censor", "json"): "71cff248a4a28d2bb1ffedc2ebaff95cc81231badafb3646e0cb2e6f3365e2d4",
+    ("lognormal", "censor", "csv"): "50dcae0a77d25cc8ce7a11ab4053f249d2c921e9b55e6506cd86c782fe56b6ce",
+    ("lognormal", "censor", "text"): "e92cb3098e92f4f1139c76d74bd5329a7ba673762195ac5d976fa2b7f6863641",
+    ("uniform", "tracks", "json"): "50120e92e6221093e72a9f27ae9056ba82cc38f4a320f20d621282cc93bda275",
+    ("uniform", "tracks", "csv"): "4909f8dc2d7fde7365b9ae1d5aa6ec57e251709d2fff04bbb56cdd783df9b8aa",
+    ("uniform", "tracks", "text"): "5c2528a660e2f68fe26a5e95707d9843e81045190773c3e0364e75b9ca61ebe4",
+    ("uniform", "censor", "json"): "d29310db62c329e836d01ee5a01d5c9abddae94b227807dcdd0e8baf90db2ae2",
+    ("uniform", "censor", "csv"): "64803239f0e41ff396351ee151cc2e18d53811689ab44823d9b4b056fa8a4eb0",
+    ("uniform", "censor", "text"): "bf253d279534a3fbbe7cce3c9fe0755c1df8ee55818f870d1ec95ab2b55f52ce",
+}
+
+
+@pytest.mark.parametrize("dist, mode, fmt", sorted(GOLDEN_SHA256))
+def test_simulate_report_bytes_are_golden(tmp_path, dist, mode, fmt):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": mode, **GOLDEN_CONFIGS[dist]}), encoding="utf-8")
+    out = tmp_path / "report"
+    assert qtf.cli.main(["simulate", str(config), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[dist, mode, fmt]

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from qtf.constants import get_consts
@@ -19,6 +21,7 @@ from qtf.montecarlo import (
     run_accrual,
     sweep_prediction_1,
 )
+from qtf.rng import std_normal, unit_uniform
 from qtf.solvency import action_index
 from qtf.tracks import parse_dataset
 
@@ -30,6 +33,35 @@ LOGNORMAL_B5 = lognormal_from_moments(7.42e-3, 5.05e-3)
 
 def config(seed=42, n=100, dist=LOGNORMAL_B5, **kw):
     return SimConfig(seed=seed, n_tracks=n, distribution=dist, **kw)
+
+
+# Per-index definitions of the radius draws, from the scalar rng.
+def lognormal_ref(dist, seed, i):
+    return math.exp(dist.mu + dist.sigma * std_normal(seed, i))
+
+
+def uniform_ref(dist, seed, i):
+    return dist.lo + (dist.hi - dist.lo) * unit_uniform(seed, i)
+
+
+def ks_merge_oracle(a, b):
+    """D statistic by merging the two sorted samples one value at a time."""
+    xs = sorted(a.radii.tolist())
+    ys = sorted(b.radii.tolist())
+    n, m = len(xs), len(ys)
+    d = 0.0
+    i = j = 0
+    while i < n and j < m:
+        value = xs[i] if xs[i] <= ys[j] else ys[j]
+        while i < n and xs[i] <= value:
+            i += 1
+        while j < m and ys[j] <= value:
+            j += 1
+        d = max(d, abs(i / n - j / m))
+    return d
+
+
+SEEDS = st.integers(min_value=-(2**70), max_value=2**70 + 3)
 
 
 class TestGenerate:
@@ -69,12 +101,61 @@ class TestGenerate:
         with pytest.raises(DomainError):
             lognormal_from_moments(-1.0, 1.0)
 
+    def test_bool_and_float_fields_rejected(self):
+        for bad in ({"seed": True}, {"seed": 1.0}, {"n": True}, {"n": 5.0},
+                    {"workers": True}, {"workers": 2.0}):
+            with pytest.raises(DomainError):
+                config(**bad)
+
+    def test_overflowing_lognormal_is_domain_error(self):
+        with pytest.raises(DomainError):
+            generate_tracks(config(dist=Lognormal(mu=800.0, sigma=1.0), n=5))
+
+    def test_underflowing_lognormal_is_domain_error(self):
+        with pytest.raises(DomainError):
+            generate_tracks(config(dist=Lognormal(mu=-800.0, sigma=1.0), n=5))
+
+    def test_track_i_is_draw_i(self):
+        ds = generate_tracks(config(seed=-5, n=300))
+        assert ds.ids.tolist() == list(range(1, 301))
+        assert ds.radii.tolist() == [lognormal_ref(LOGNORMAL_B5, -5, i) for i in range(300)]
+
     def test_moment_matching_formulas(self):
         dist = lognormal_from_moments(7.42e-3, 5.05e-3)
         mean = math.exp(dist.mu + dist.sigma**2 / 2)
         var = (math.exp(dist.sigma**2) - 1) * math.exp(2 * dist.mu + dist.sigma**2)
         assert mean == pytest.approx(7.42e-3, rel=1e-12)
         assert math.sqrt(var) == pytest.approx(5.05e-3, rel=1e-12)
+
+
+class TestBulkSampling:
+    @given(
+        seed=SEEDS,
+        n=st.integers(min_value=0, max_value=200),
+        mu=st.floats(min_value=-20.0, max_value=5.0),
+        sigma=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @example(seed=-1, n=64, mu=-5.0, sigma=0.6)
+    @example(seed=2**64 - 1, n=64, mu=-5.0, sigma=0.6)
+    @example(seed=2**70 + 3, n=64, mu=-5.0, sigma=0.6)
+    @settings(deadline=None)
+    def test_lognormal_equals_per_index_definition(self, seed, n, mu, sigma):
+        dist = Lognormal(mu=mu, sigma=sigma)
+        assert dist.sample(seed, n).tolist() == [lognormal_ref(dist, seed, i) for i in range(n)]
+
+    @given(
+        seed=SEEDS,
+        n=st.integers(min_value=0, max_value=200),
+        lo=st.floats(min_value=1e-6, max_value=1.0),
+        width=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @example(seed=-1, n=64, lo=1e-3, width=4.0)
+    @example(seed=2**64 - 1, n=64, lo=1e-3, width=4.0)
+    @example(seed=2**70 + 3, n=64, lo=1e-3, width=4.0)
+    @settings(deadline=None)
+    def test_uniform_equals_per_index_definition(self, seed, n, lo, width):
+        dist = Uniform(lo=lo, hi=lo * (1.0 + width))
+        assert dist.sample(seed, n).tolist() == [uniform_ref(dist, seed, i) for i in range(n)]
 
 
 class TestCensor:
@@ -274,3 +355,22 @@ class TestKs:
         empty = censor_at_floor(ds, 1e300, 3.26e-19)
         with pytest.raises(DataError):
             ks_statistic(ds, empty)
+
+    def test_matches_merge_oracle_on_generated_tracks(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            a = generate_tracks(config(seed=rng.randrange(2**32), n=rng.randint(1, 300)))
+            b = censor_at_floor(a, rng.uniform(0.0, 3e13), 3.26e-19)
+            if not b.records:
+                continue
+            assert ks_statistic(a, b) == ks_merge_oracle(a, b)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40),
+    )
+    @settings(deadline=None)
+    def test_matches_merge_oracle_with_ties(self, xs, ys):
+        a = parse_dataset("\n".join(map(str, xs)), unit="mm")
+        b = parse_dataset("\n".join(map(str, ys)), unit="mm")
+        assert ks_statistic(a, b) == ks_merge_oracle(a, b)

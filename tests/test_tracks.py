@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtf.errors import DataError, DomainError
-from qtf.solvency import ParticleSpec
+from qtf.solvency import ParticleSpec, action_index
 from qtf.tracks import (
+    TrackDataset,
+    TrackRecord,
     compute_stats,
     emit_summary,
     fixture_text,
@@ -130,6 +133,47 @@ class TestParse:
         as_mm = parse_dataset("\n".join(rows), unit="mm")
         for rm, rmm in zip(as_m.records, as_mm.records):
             assert rmm.radius == rm.radius / 1e3
+
+
+class TestColumnarDataset:
+    def test_columns_are_read_only(self):
+        ds = make(["5.0", "6.0"])
+        for column in (ds.ids, ds.radii):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_constructor_copies_its_columns(self):
+        ids, radii = np.array([1, 2]), np.array([0.5, 0.25])
+        ds = TrackDataset(ids=ids, radii=radii, source_label="", rows_read=2, rows_dropped=0)
+        radii[0] = 9.0
+        assert ds.radii.tolist() == [0.5, 0.25]
+        assert ds.ids.dtype == np.int64 and ds.radii.dtype == np.float64
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(DataError):
+            TrackDataset(ids=[1, 2], radii=[0.5], source_label="", rows_read=2, rows_dropped=0)
+        with pytest.raises(DataError):
+            TrackDataset(ids=[1], radii=[0.5], source_label="", rows_read=2, rows_dropped=0)
+
+    def test_equality_compares_columns_and_provenance(self):
+        assert make(["5.0", "6.0"]) == make(["5.0", "6.0"])
+        assert make(["5.0", "6.0"]) != make(["5.0", "6.5"])
+        assert make(["5.0", "6.0"]) != make(["5.0", "6.0", "x"])  # one row dropped
+        assert make(["5.0"]) != parse_dataset("5.0", unit="mm", source_label="other")
+        assert make(["5.0"]) != (TrackRecord(id=1, radius=5e-3),)
+
+    def test_records_are_derived_from_the_columns(self):
+        ds = make(["5.0", "abc", "6.0"])
+        assert ds.records == (TrackRecord(id=1, radius=5e-3), TrackRecord(id=2, radius=6e-3))
+        assert len(ds) == len(ds.records) == 2
+
+    def test_report_indices_are_read_only_and_match_action_index(self):
+        report = solvency_report(load_fixture())
+        assert not report.n_values.flags.writeable
+        assert report.n_values.tolist() == [
+            action_index(r, report.momentum_used).n_real for r in report.dataset.radii.tolist()
+        ]
 
 
 class TestStats:
