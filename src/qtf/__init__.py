@@ -5,6 +5,22 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# qtf makes no BLAS or LAPACK call, yet OpenBLAS starts its worker
+# threads when numpy loads them, and they spin on another core.  Load
+# numpy with one thread unless the caller already chose a count through
+# one of the variables OpenBLAS reads, then restore the environment so
+# child processes inherit the caller's.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .constants import PaperValues, PhysConsts, get_consts, get_paper_values
 from .errors import DataError, DomainError, QtfError
 from .montecarlo import (

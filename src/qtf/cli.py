@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .constants import constants_snapshot, get_paper_values
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, QtfError
 from .montecarlo import (
     AccrualConfig,
     Lognormal,
@@ -216,6 +216,18 @@ def _config_int(config: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _config_float(config: dict, key: str, default: float | None = None) -> float:
+    """A real config value; integers and floats are accepted, booleans,
+    strings and every other JSON type are not."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{key} is out of the float range, got {value!r}") from None
+
+
 def _parse_distribution(spec: dict) -> Lognormal | Uniform:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("distribution must be an object with a 'kind' key")
@@ -223,12 +235,16 @@ def _parse_distribution(spec: dict) -> Lognormal | Uniform:
     if kind == "lognormal":
         if {"mu", "sigma"} <= spec.keys():
             _require_keys(spec, {"kind", "mu", "sigma"}, {"kind", "mu", "sigma"})
-            return Lognormal(mu=float(spec["mu"]), sigma=float(spec["sigma"]))
+            return Lognormal(
+                mu=_config_float(spec, "mu"), sigma=_config_float(spec, "sigma")
+            )
         _require_keys(spec, {"kind", "mean_m", "sd_m"}, {"kind", "mean_m", "sd_m"})
-        return lognormal_from_moments(float(spec["mean_m"]), float(spec["sd_m"]))
+        return lognormal_from_moments(
+            _config_float(spec, "mean_m"), _config_float(spec, "sd_m")
+        )
     if kind == "uniform":
         _require_keys(spec, {"kind", "lo_m", "hi_m"}, {"kind", "lo_m", "hi_m"})
-        return Uniform(lo=float(spec["lo_m"]), hi=float(spec["hi_m"]))
+        return Uniform(lo=_config_float(spec, "lo_m"), hi=_config_float(spec, "hi_m"))
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
@@ -239,7 +255,8 @@ def _parse_particle(spec: dict | None) -> ParticleSpec | None:
         raise DomainError("particle must be an object with mass_kg/kinetic_energy_j")
     _require_keys(spec, {"mass_kg", "kinetic_energy_j"}, {"mass_kg", "kinetic_energy_j"})
     return ParticleSpec(
-        mass=float(spec["mass_kg"]), kinetic_energy=float(spec["kinetic_energy_j"])
+        mass=_config_float(spec, "mass_kg"),
+        kinetic_energy=_config_float(spec, "kinetic_energy_j"),
     )
 
 
@@ -271,11 +288,11 @@ def _accrual_config(config: dict, *, sweep: bool) -> AccrualConfig:
         required = allowed = _ACCRUAL_KEYS
     _require_keys(config, required, allowed)
     return AccrualConfig(
-        initial_budget=float(config["initial_budget_j"]),
-        budget_rate=float(config.get("budget_rate_w", 0.0)),
-        cost_rate=float(config["cost_rate_w"]),
-        time_step=float(config["time_step_s"]),
-        max_time=float(config["max_time_s"]),
+        initial_budget=_config_float(config, "initial_budget_j"),
+        budget_rate=_config_float(config, "budget_rate_w", 0.0),
+        cost_rate=_config_float(config, "cost_rate_w"),
+        time_step=_config_float(config, "time_step_s"),
+        max_time=_config_float(config, "max_time_s"),
     )
 
 
@@ -287,7 +304,7 @@ def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -
         distribution=_parse_distribution(config["distribution"]),
         particle=_parse_particle(config.get("particle")),
         momentum_source=config.get("momentum_source", "paper"),
-        floor_n=float(config.get("floor_n", get_paper_values().floor_n)),
+        floor_n=_config_float(config, "floor_n", get_paper_values().floor_n),
         workers=_config_int(config, "workers", 1),
     )
     dataset = generate_tracks(sim)
@@ -345,9 +362,11 @@ def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
 
 def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
     base = _accrual_config(config, sweep=True)
-    if not isinstance(config["budget_rates_w"], list):
+    rates_w = config["budget_rates_w"]
+    if not isinstance(rates_w, list):
         raise DomainError("budget_rates_w must be a list of rates")
-    rates = [float(r) for r in config["budget_rates_w"]]
+    items = {f"budget_rates_w[{i}]": rate for i, rate in enumerate(rates_w)}
+    rates = [_config_float(items, key) for key in items]
     results = sweep_prediction_1(base, rates)
     if fmt == "json":
         body = {
@@ -386,7 +405,9 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     try:
         config = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, bad JSON and integers
+        # past the interpreter's digit limit; RecursionError deep nesting.
         raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or "mode" not in config:
         raise DomainError("config must be a JSON object with a 'mode' key")
@@ -477,11 +498,15 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"qtf: data error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ValueError, TypeError) as exc:
+    except QtfError as exc:
         print(f"qtf: error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            print(f"qtf: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(report)
     return 0

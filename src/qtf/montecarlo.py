@@ -166,7 +166,15 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     produce identical datasets (``workers`` is ignored).
     """
     dist = config.distribution
-    radii = dist.sample(config.seed, config.n_tracks)
+    try:
+        radii = dist.sample(config.seed, config.n_tracks)
+    except DomainError:
+        raise
+    except (ValueError, MemoryError):
+        # numpy refuses arrays past its index range with a ValueError
+        raise DomainError(
+            f"n_tracks {config.n_tracks} is too large to draw in memory"
+        ) from None
     bad = ~(np.isfinite(radii) & (radii > 0))
     if bad.any():
         index = int(bad.argmax())

@@ -140,7 +140,10 @@ def parse_dataset(
 ) -> TrackDataset:
     """Parse delimited text with one radius per row into a dataset.
 
-    Lines starting with ``#`` are ignored outright.  A non-numeric first
+    Lines starting with ``#`` are ignored outright.  A row is numeric
+    when it is an ASCII decimal number (``12``, ``-1.5``, ``.5``,
+    ``7.42e-3``) or a spelling of nan or inf; digit-group underscores
+    and non-ASCII digits make a row non-numeric.  A non-numeric first
     row is treated as a header.  Every other row is counted: blank,
     non-numeric, non-finite, and non-positive rows are dropped (never
     aborting the parse); valid rows become tracks in input order,
@@ -165,7 +168,9 @@ def parse_dataset(
         if line.startswith("#"):
             continue
         value = None
-        if line:
+        # float() also takes digit-group underscores ("1_5") and non-ASCII
+        # digits; without them its grammar is the plain decimal one.
+        if line and line.isascii() and "_" not in line:
             try:
                 value = float(line)
             except ValueError:
@@ -255,7 +260,7 @@ def resolve_momentum(
     """
     try:
         canonical = _MOMENTUM_ALIASES[momentum_source]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable selector
         raise DomainError(
             f"momentum_source must be one of {sorted(set(_MOMENTUM_ALIASES))},"
             f" got {momentum_source!r}"

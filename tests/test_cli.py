@@ -348,6 +348,97 @@ class TestConfigHardening:
         assert b"Traceback" not in proc.stderr
 
 
+ACCRUAL_CONFIG = {
+    "mode": "accrual",
+    "initial_budget_j": 10.0,
+    "budget_rate_w": 1.0,
+    "cost_rate_w": 2.0,
+    "time_step_s": 0.01,
+    "max_time_s": 20.0,
+}
+PARTICLE = {"mass_kg": 6.64e-27, "kinetic_energy_j": 8.01e-13}
+
+
+def _float_field_cases():
+    """(config, description) with one real-valued field made a bool or str."""
+    cases = []
+    for bad in (True, "2.0"):
+        for key in sorted(ACCRUAL_CONFIG.keys() - {"mode"}):
+            cases.append(({**ACCRUAL_CONFIG, key: bad}, f"{key}={bad!r}"))
+        cases.append(({**SWEEP_CONFIG, "budget_rates_w": [0.0, bad]}, f"rate={bad!r}"))
+        cases.append(({**CENSOR_CONFIG, "floor_n": bad}, f"floor_n={bad!r}"))
+        for dist in (
+            {"kind": "lognormal", "mean_m": bad, "sd_m": 5.05e-3},
+            {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": bad},
+            {"kind": "lognormal", "mu": bad, "sigma": 0.5},
+            {"kind": "lognormal", "mu": -5.0, "sigma": bad},
+            {"kind": "uniform", "lo_m": bad, "hi_m": 2e-3},
+            {"kind": "uniform", "lo_m": 1e-4, "hi_m": bad},
+        ):
+            cases.append(({**CENSOR_CONFIG, "distribution": dist}, f"{dist}"))
+        for key in PARTICLE:
+            particle = {**PARTICLE, key: bad}
+            cases.append(({**CENSOR_CONFIG, "particle": particle}, f"{particle}"))
+    return [pytest.param(config, id=desc) for config, desc in cases]
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("config", _float_field_cases())
+    def test_bool_or_string_for_a_number_is_config_error(
+        self, tmp_path, capsys, config
+    ):
+        assert qtf.cli.main(["simulate", write_config(tmp_path, config)]) == 1
+        captured = capsys.readouterr()
+        assert "must be a number" in captured.err
+        assert not captured.out
+
+    def test_integers_are_accepted_as_numbers(self, tmp_path, capsys):
+        config = {**ACCRUAL_CONFIG, "initial_budget_j": 10, "budget_rate_w": 1}
+        assert qtf.cli.main(["simulate", write_config(tmp_path, config)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["accrual"]["initial_budget"] == 10.0
+        assert doc["outcome"]["collapsed"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(
+                {**ACCRUAL_CONFIG, "initial_budget_j": 10**400}, id="float-range"
+            ),
+            pytest.param({**CENSOR_CONFIG, "n_tracks": 10**20}, id="n_tracks"),
+            pytest.param({**CENSOR_CONFIG, "momentum_source": ["paper"]}, id="momentum"),
+        ],
+    )
+    def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, config):
+        assert qtf.cli.main(["simulate", write_config(tmp_path, config)]) == 1
+        assert "qtf: error:" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_is_config_error(self, tmp_path, capsys):
+        # Python 3.11+ refuses to parse it; older versions reject its value.
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "accrual", "initial_budget_j": 1%s}' % ("0" * 5000))
+        assert qtf.cli.main(["simulate", str(path)]) == 1
+        assert "qtf: error:" in capsys.readouterr().err
+
+
+class TestMainBoundary:
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(query):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(qtf.cli, "compute_budget", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            qtf.cli.main(["budget"])
+
+    @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert qtf.cli.main(["constants", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qtf: error: cannot write {out}")
+        assert not captured.out
+
+
 class TestOneSourcePerDefault:
     def test_analyze_floor_default_is_the_paper_floor(self):
         args = qtf.cli._build_parser().parse_args(["analyze", FIXTURE])

@@ -96,6 +96,21 @@ class TestParse:
         assert len(ds.records) == 1
         assert ds.rows_dropped == 2
 
+    @pytest.mark.parametrize("row", ["1_5", "١٢", "1_000.5", "１２", "5e1_0"])
+    def test_underscores_and_non_ascii_digits_are_non_numeric(self, row):
+        ds = make(["5.0", row, "6.0"])
+        assert ds.radii.tolist() == [0.005, 0.006]
+        assert ds.rows_read == 3
+        assert ds.rows_dropped == 1
+
+    @pytest.mark.parametrize(
+        "row", ["12", "+12", "-1.5", ".5", "5.", "7.42e-3", "7E2", "NaN", "-inf", "Infinity"]
+    )
+    def test_ascii_decimal_and_non_finite_spellings_are_numeric(self, row):
+        # A numeric first row is data, never a header.
+        ds = make([row, "6.0"])
+        assert ds.rows_read == 2
+
     def test_undecodable_bytes(self):
         with pytest.raises(DataError):
             parse_dataset(b"\xff\xfe\x00bad", unit="mm")
