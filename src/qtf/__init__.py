@@ -1,10 +1,16 @@
 """Collapse-solvency calculus, energy budgets, track statistics, and
-seeded Monte Carlo harnesses."""
+seeded Monte Carlo harnesses.
+
+The public names below are loaded on first access (PEP 562), so that a
+process imports only the layers it uses: ``qtf budget`` never loads the
+track pipeline or the Monte Carlo harness.
+"""
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
+import importlib
 import os
 import sys
 
@@ -14,111 +20,84 @@ import sys
 # one of the variables OpenBLAS reads, then restore the environment so
 # child processes inherit the caller's.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    v in os.environ for v in _BLAS_THREAD_VARS
+)
+if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
+try:
+    import numpy  # noqa: F401
+finally:
+    if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .constants import PaperValues, PhysConsts, get_consts, get_paper_values
-from .errors import DataError, DomainError, QtfError
-from .montecarlo import (
-    AccrualConfig,
-    AccrualOutcome,
-    Lognormal,
-    SimConfig,
-    Uniform,
-    censor_at_floor,
-    generate_tracks,
-    ks_statistic,
-    lognormal_from_moments,
-    run_accrual,
-    sweep_prediction_1,
-)
-from .solvency import (
-    ActionIndex,
-    ParticleSpec,
-    SolvencyResult,
-    action_index,
-    collapse_test,
-    momentum_from_energy,
-    renderable,
-)
-from .thermo import (
-    DiscrepancyRecord,
-    EnergyBudget,
-    ThermoQuery,
-    asymmetry_ratio,
-    audit_against_paper,
-    coherence_cost,
-    compute_budget,
-    decoherence_rate,
-    dynamic_rendering_rate,
-    landauer_cost,
-    min_sustain_energy,
-    ml_bound,
-)
-from .tracks import (
-    SolvencyReport,
-    TrackDataset,
-    TrackRecord,
-    TrackStats,
-    compute_stats,
-    emit_summary,
-    load_fixture,
-    parse_dataset,
-    read_dataset,
-    solvency_report,
-)
+# Defining module of each public name.
+_EXPORTS = {
+    "constants": ("PaperValues", "PhysConsts", "get_consts", "get_paper_values"),
+    "errors": ("DataError", "DomainError", "QtfError"),
+    "montecarlo": (
+        "AccrualConfig",
+        "AccrualOutcome",
+        "Lognormal",
+        "SimConfig",
+        "Uniform",
+        "censor_at_floor",
+        "generate_tracks",
+        "ks_statistic",
+        "lognormal_from_moments",
+        "run_accrual",
+        "sweep_prediction_1",
+    ),
+    "solvency": (
+        "ActionIndex",
+        "ParticleSpec",
+        "SolvencyResult",
+        "action_index",
+        "collapse_test",
+        "momentum_from_energy",
+        "renderable",
+    ),
+    "thermo": (
+        "DiscrepancyRecord",
+        "EnergyBudget",
+        "ThermoQuery",
+        "asymmetry_ratio",
+        "audit_against_paper",
+        "coherence_cost",
+        "compute_budget",
+        "decoherence_rate",
+        "dynamic_rendering_rate",
+        "landauer_cost",
+        "min_sustain_energy",
+        "ml_bound",
+    ),
+    "tracks": (
+        "SolvencyReport",
+        "TrackDataset",
+        "TrackRecord",
+        "TrackStats",
+        "compute_stats",
+        "emit_summary",
+        "load_fixture",
+        "parse_dataset",
+        "read_dataset",
+        "solvency_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AccrualConfig",
-    "AccrualOutcome",
-    "ActionIndex",
-    "DataError",
-    "DiscrepancyRecord",
-    "DomainError",
-    "EnergyBudget",
-    "Lognormal",
-    "PaperValues",
-    "ParticleSpec",
-    "PhysConsts",
-    "QtfError",
-    "SimConfig",
-    "SolvencyReport",
-    "SolvencyResult",
-    "ThermoQuery",
-    "TrackDataset",
-    "TrackRecord",
-    "TrackStats",
-    "Uniform",
-    "action_index",
-    "asymmetry_ratio",
-    "audit_against_paper",
-    "censor_at_floor",
-    "coherence_cost",
-    "collapse_test",
-    "compute_budget",
-    "compute_stats",
-    "decoherence_rate",
-    "dynamic_rendering_rate",
-    "emit_summary",
-    "generate_tracks",
-    "get_consts",
-    "get_paper_values",
-    "ks_statistic",
-    "landauer_cost",
-    "load_fixture",
-    "lognormal_from_moments",
-    "min_sustain_energy",
-    "ml_bound",
-    "momentum_from_energy",
-    "parse_dataset",
-    "read_dataset",
-    "renderable",
-    "run_accrual",
-    "solvency_report",
-    "sweep_prediction_1",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

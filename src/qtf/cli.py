@@ -14,28 +14,17 @@ reports.  ``QTF_SEED`` overrides the config seed for ``simulate``.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import constants_snapshot, get_paper_values
+from .constants import constants_snapshot, get_paper_values, sci
 from .errors import DataError, DomainError, QtfError
-from .montecarlo import (
-    AccrualConfig,
-    Lognormal,
-    SimConfig,
-    Uniform,
-    censor_at_floor,
-    generate_tracks,
-    lognormal_from_moments,
-    run_accrual,
-    sweep_prediction_1,
-)
-from .solvency import ParticleSpec
 from .thermo import (
     BIO_REFERENCE,
     ThermoQuery,
@@ -43,14 +32,13 @@ from .thermo import (
     audit_against_paper,
     compute_budget,
 )
-from .tracks import (
-    emit_summary,
-    parse_dataset,
-    report_to_dict,
-    resolve_momentum,
-    sci,
-    solvency_report,
-)
+
+# The track pipeline, the Monte Carlo harness and the solvency calculus
+# are imported by the subcommands that run them, so that ``constants``,
+# ``budget`` and ``--version`` never load them.
+if TYPE_CHECKING:
+    from .montecarlo import AccrualConfig, Lognormal, Uniform
+    from .solvency import ParticleSpec
 
 SEED_ENV_VAR = "QTF_SEED"
 
@@ -70,6 +58,8 @@ class RunManifest:
 
 
 def _digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -123,11 +113,16 @@ def cmd_constants(args: argparse.Namespace) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
+    from .tracks import (
+        emit_summary,
+        parse_dataset,
+        read_input,
+        report_to_dict,
+        solvency_report,
+    )
+
     path = Path(args.path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    raw = read_input(path)
     dataset = parse_dataset(raw, unit=args.unit, source_label=str(path))
     report = solvency_report(
         dataset, momentum_source=args.momentum, floor_n=args.floor
@@ -229,6 +224,8 @@ def _config_float(config: dict, key: str, default: float | None = None) -> float
 
 
 def _parse_distribution(spec: dict) -> Lognormal | Uniform:
+    from .montecarlo import Lognormal, Uniform, lognormal_from_moments
+
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("distribution must be an object with a 'kind' key")
     kind = spec["kind"]
@@ -249,6 +246,8 @@ def _parse_distribution(spec: dict) -> Lognormal | Uniform:
 
 
 def _parse_particle(spec: dict | None) -> ParticleSpec | None:
+    from .solvency import ParticleSpec
+
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -281,6 +280,8 @@ _ACCRUAL_KEYS = {
 
 
 def _accrual_config(config: dict, *, sweep: bool) -> AccrualConfig:
+    from .montecarlo import AccrualConfig
+
     if sweep:
         required = (_ACCRUAL_KEYS - {"budget_rate_w"}) | {"budget_rates_w"}
         allowed = _ACCRUAL_KEYS | {"budget_rates_w"}
@@ -297,6 +298,9 @@ def _accrual_config(config: dict, *, sweep: bool) -> AccrualConfig:
 
 
 def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -> str:
+    from .montecarlo import SimConfig, censor_at_floor, generate_tracks
+    from .tracks import emit_summary, report_to_dict, resolve_momentum, solvency_report
+
     mode = config["mode"]
     sim = SimConfig(
         seed=seed,
@@ -336,6 +340,8 @@ def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -
 
 
 def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
+    from .montecarlo import run_accrual
+
     accrual = _accrual_config(config, sweep=False)
     outcome = run_accrual(accrual)
     body = {
@@ -361,6 +367,8 @@ def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
 
 
 def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
+    from .montecarlo import sweep_prediction_1
+
     base = _accrual_config(config, sweep=True)
     rates_w = config["budget_rates_w"]
     if not isinstance(rates_w, list):
@@ -512,5 +520,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point (``qtf`` and ``python -m qtf``): ``main`` on
+    ``sys.argv``, exiting with its code.
+
+    The objects built by the imports live until the process exits, so
+    they are frozen out of the garbage collector first: no collection,
+    including the ones at interpreter shutdown, walks them again.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -82,6 +82,12 @@ def constants_snapshot() -> dict:
     return {"physical": asdict(_CONSTS), "paper": asdict(_PAPER)}
 
 
+def sci(x: float, sig: int = 3) -> str:
+    """Compact scientific notation: 2.0619e13 -> '2.06e13'."""
+    mant, exp = f"{x:.{sig - 1}e}".split("e")
+    return f"{mant}e{int(exp)}"
+
+
 def load_snapshot_file() -> dict:
     """Load the checked-in ``constants.json`` audit snapshot."""
     text = resources.files("qtf.data").joinpath("constants.json").read_text("utf-8")

@@ -87,7 +87,10 @@ def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
         raise DomainError(f"mean must be finite and > 0, got {mean}")
     if not (math.isfinite(sd) and sd > 0):
         raise DomainError(f"sd must be finite and > 0, got {sd}")
-    s2 = math.log(1.0 + (sd / mean) ** 2)
+    try:
+        s2 = math.log(1.0 + (sd / mean) ** 2)
+    except OverflowError:
+        raise DomainError(f"sd/mean overflows: sd {sd!r}, mean {mean!r}") from None
     return Lognormal(mu=math.log(mean) - s2 / 2.0, sigma=math.sqrt(s2))
 
 
@@ -147,6 +150,10 @@ class AccrualConfig:
         if not (math.isfinite(self.max_time) and self.max_time >= self.time_step):
             raise DomainError(
                 f"max_time must be >= time_step, got {self.max_time}"
+            )
+        if not math.isfinite(self.max_time / self.time_step):
+            raise DomainError(
+                f"max_time/time_step overflows: {self.max_time!r}/{self.time_step!r}"
             )
 
 

@@ -75,6 +75,11 @@ def action_index(
         raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
     consts = consts or get_consts()
     n_real = radius * momentum / consts.hbar
+    if not math.isfinite(n_real):
+        raise DomainError(
+            f"solvency index r*p/hbar is not finite for radius {radius!r} m"
+            f" at momentum {momentum!r}"
+        )
     n_quanta = math.floor(n_real)
     return ActionIndex(n_real=n_real, n_quanta=n_quanta, action=n_quanta * consts.h)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import PhysConsts, get_consts, get_paper_values
+from .constants import PhysConsts, get_consts, get_paper_values, sci
 from .errors import DataError, DomainError
 from .solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 
@@ -197,14 +197,18 @@ def parse_dataset(
     )
 
 
-def read_dataset(path: str | Path, unit: str = "mm") -> TrackDataset:
-    """Read and parse a radius file; missing files are data errors."""
+def read_input(path: str | Path) -> bytes:
+    """The bytes of an input file; an unreadable file is a data error."""
     path = Path(path)
     try:
-        content = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse_dataset(content, unit=unit, source_label=str(path))
+
+
+def read_dataset(path: str | Path, unit: str = "mm") -> TrackDataset:
+    """Read and parse a radius file; missing files are data errors."""
+    return parse_dataset(read_input(path), unit=unit, source_label=str(Path(path)))
 
 
 def compute_stats(dataset: TrackDataset, *, sample_sigma: bool = False) -> TrackStats:
@@ -290,6 +294,12 @@ def solvency_report(
     n_values = n_real_values(dataset.radii, momentum, consts)
     n_values.flags.writeable = False
     n_min = float(n_values.min())
+    n_max = float(n_values.max())
+    if not math.isfinite(n_max):
+        raise DomainError(
+            f"solvency index r*p/hbar is not finite for radius"
+            f" {float(dataset.radii.max())!r} m at momentum {momentum!r}"
+        )
     return SolvencyReport(
         dataset=dataset,
         stats=stats,
@@ -300,7 +310,7 @@ def solvency_report(
         n_median=action_index(stats.median_radius, momentum, consts).n_real,
         n_filtered_mean=action_index(stats.filtered_mean_radius, momentum, consts).n_real,
         n_min=n_min,
-        n_max=float(n_values.max()),
+        n_max=n_max,
         floor_satisfied=n_min >= floor_n,
     )
 
@@ -355,12 +365,6 @@ def _track_rows(report: SolvencyReport):
     """(id, radius, n_real) per track, as Python int/float for exact repr."""
     ds = report.dataset
     return zip(ds.ids.tolist(), ds.radii.tolist(), report.n_values.tolist())
-
-
-def sci(x: float, sig: int = 3) -> str:
-    """Compact scientific notation: 2.0619e13 -> '2.06e13'."""
-    mant, exp = f"{x:.{sig - 1}e}".split("e")
-    return f"{mant}e{int(exp)}"
 
 
 def emit_summary(report: SolvencyReport, format: str = "json") -> str:

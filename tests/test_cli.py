@@ -1,13 +1,18 @@
+import gc
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import qtf.cli
+import qtf.tracks
 from conftest import run_cli
 from qtf.constants import get_paper_values
-from qtf.tracks import fixture_path
+from qtf.errors import DataError, DomainError
+from qtf.solvency import action_index
+from qtf.tracks import fixture_path, read_dataset
 
 FIXTURE = str(fixture_path())
 
@@ -446,13 +451,13 @@ class TestOneSourcePerDefault:
 
     def test_censor_mode_builds_one_report(self, tmp_path, monkeypatch):
         calls = []
-        original = qtf.cli.solvency_report
+        original = qtf.tracks.solvency_report
 
         def counting(dataset, *args, **kwargs):
             calls.append(len(dataset))
             return original(dataset, *args, **kwargs)
 
-        monkeypatch.setattr(qtf.cli, "solvency_report", counting)
+        monkeypatch.setattr(qtf.tracks, "solvency_report", counting)
         out = tmp_path / "report.json"
         config = write_config(tmp_path, {**CENSOR_CONFIG, "floor_n": 2e13})
         assert qtf.cli.main(["simulate", config, "--out", str(out)]) == 0
@@ -502,3 +507,76 @@ def test_simulate_report_bytes_are_golden(tmp_path, dist, mode, fmt):
     out = tmp_path / "report"
     assert qtf.cli.main(["simulate", str(config), "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[dist, mode, fmt]
+
+
+class TestOverflowIsAConfigError:
+    """Inputs whose arithmetic leaves the float range end in exit 1."""
+
+    def run_config(self, tmp_path, capsys, config: dict) -> str:
+        assert qtf.cli.main(["simulate", write_config(tmp_path, config)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("qtf: error: ")
+        return captured.err
+
+    def test_non_finite_solvency_index(self, tmp_path, capsys):
+        config = {
+            **CENSOR_CONFIG,
+            "mode": "tracks",
+            "distribution": {"kind": "uniform", "lo_m": 0.001, "hi_m": 1e308},
+        }
+        err = self.run_config(tmp_path, capsys, config)
+        assert "r*p/hbar is not finite" in err
+        with pytest.raises(DomainError, match="not finite"):
+            action_index(1e308, get_paper_values().momentum)
+
+    def test_lognormal_moment_ratio_overflow(self, tmp_path, capsys):
+        config = {
+            **CENSOR_CONFIG,
+            "distribution": {"kind": "lognormal", "mean_m": 1e-100, "sd_m": 1e100},
+        }
+        assert "sd/mean overflows" in self.run_config(tmp_path, capsys, config)
+
+    def test_accrual_step_count_overflow(self, tmp_path, capsys):
+        config = {**ACCRUAL_CONFIG, "max_time_s": 1e308, "time_step_s": 0.01}
+        err = self.run_config(tmp_path, capsys, config)
+        assert "max_time/time_step overflows" in err
+
+
+class TestOneFileReader:
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_analyze_reports_the_read_error_of_read_dataset(
+        self, tmp_path, capsys, missing
+    ):
+        path = tmp_path / "absent.csv" if missing else tmp_path
+        with pytest.raises(DataError) as exc:
+            read_dataset(path)
+        assert str(exc.value).startswith(f"cannot read {path}: ")
+        assert qtf.cli.main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"qtf: data error: {exc.value}\n"
+
+
+class TestProcessEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code", [(["constants"], 0), (["analyze", "/nonexistent/tracks.csv"], 2)]
+    )
+    def test_run_freezes_then_exits_with_the_code_of_main(
+        self, monkeypatch, capsys, argv, code
+    ):
+        events = []
+        main = qtf.cli.main
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(qtf.cli, "main", lambda: events.append("main") or main())
+        monkeypatch.setattr(sys, "argv", ["qtf", *argv])
+        with pytest.raises(SystemExit) as exc:
+            qtf.cli.run()
+        assert exc.value.code == code
+        # main itself never freezes: it is the in-process API.
+        assert events == ["freeze", "main"]
+
+    def test_console_script_targets_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads(
+            (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+        )
+        assert pyproject["project"]["scripts"]["qtf"] == "qtf.cli:run"

@@ -1,4 +1,6 @@
-"""Import-time behaviour: numpy's OpenBLAS loads with one thread."""
+"""Import-time behaviour: numpy's OpenBLAS loads with one thread, public
+names and subcommand layers load on first use, and the process entry
+point freezes the import-time objects out of the collector."""
 
 import json
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import qtf
 from conftest import SRC
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -68,3 +71,59 @@ def test_import_starts_no_thread():
         "print(json.dumps(int(status.split('Threads:')[1].split()[0])))\n"
     )
     assert doc == 1
+
+
+HEAVY_MODULES = ("qtf.tracks", "qtf.montecarlo", "qtf.solvency", "qtf.rng", "_hashlib")
+
+
+@pytest.mark.parametrize("argv", [["budget"], ["constants"], ["--version"]])
+def test_light_subcommands_load_no_heavy_layer(argv):
+    loaded = run_python(
+        "import contextlib, io, json, sys\n"
+        "from qtf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_public_names_load_on_first_access():
+    doc = run_python(
+        "import json, sys, qtf\n"
+        "before = sorted(m for m in sys.modules if m.startswith('qtf.'))\n"
+        "qtf.compute_stats\n"
+        "print(json.dumps({'before': before, 'after': 'qtf.tracks' in sys.modules}))\n"
+    )
+    assert doc == {"before": [], "after": True}
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    assert qtf.__all__[0] == "__version__"
+    for name in qtf.__all__[1:]:
+        value = getattr(qtf, name)
+        assert value.__module__.startswith("qtf.")
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(qtf)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qtf.no_such_name
+
+
+def test_import_loads_numpy_with_a_callers_blas_variable():
+    assert run_python(
+        "import json, sys, qtf; print(json.dumps('numpy' in sys.modules))",
+        OPENBLAS_NUM_THREADS="2",
+    )
+
+
+def test_module_entry_point_freezes_the_collector():
+    frozen = run_python(
+        "import atexit, gc, json, os, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))\n"
+        "sys.argv = ['qtf', 'constants', '--out', os.devnull]\n"
+        "runpy.run_module('qtf', run_name='__main__')\n"
+    )
+    assert frozen > 0
