@@ -200,10 +200,10 @@ def _require_keys(config: dict, required: set[str], allowed: set[str]) -> None:
         raise DomainError(f"config has unknown keys: {sorted(unknown)}")
 
 
-def _config_int(config: dict, key: str, default: int | None = None) -> int:
+def _config_int(config: dict, key: str) -> int:
     """An integer config value; integral floats such as 1e6 are accepted,
     booleans, strings and non-integral numbers are not."""
-    value = config.get(key, default)
+    value = config[key]
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -267,7 +267,6 @@ _TRACK_KEYS = {
     "particle",
     "momentum_source",
     "floor_n",
-    "workers",
 }
 _ACCRUAL_KEYS = {
     "mode",
@@ -302,14 +301,19 @@ def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -
     from .tracks import emit_summary, report_to_dict, resolve_momentum, solvency_report
 
     mode = config["mode"]
+    # Optional keys the config leaves out take SimConfig's defaults.
+    options = {}
+    if "particle" in config:
+        options["particle"] = _parse_particle(config["particle"])
+    if "momentum_source" in config:
+        options["momentum_source"] = config["momentum_source"]
+    if "floor_n" in config:
+        options["floor_n"] = _config_float(config, "floor_n")
     sim = SimConfig(
         seed=seed,
         n_tracks=_config_int(config, "n_tracks"),
         distribution=_parse_distribution(config["distribution"]),
-        particle=_parse_particle(config.get("particle")),
-        momentum_source=config.get("momentum_source", "paper"),
-        floor_n=_config_float(config, "floor_n", get_paper_values().floor_n),
-        workers=_config_int(config, "workers", 1),
+        **options,
     )
     dataset = generate_tracks(sim)
     if mode == "censor":
@@ -354,16 +358,14 @@ def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
     }
     if fmt == "json":
         return _render_json(manifest, body)
-    if fmt == "text":
-        if outcome.collapsed:
-            line = (
-                f"collapsed at t = {outcome.collapse_time:.6g} s"
-                f" (step {outcome.steps_run})"
-            )
-        else:
-            line = f"no collapse within {accrual.max_time:.6g} s"
-        return _prepend_manifest(manifest, line + "\n")
-    raise DomainError(f"accrual mode supports json or text, got {fmt!r}")
+    if outcome.collapsed:
+        line = (
+            f"collapsed at t = {outcome.collapse_time:.6g} s"
+            f" (step {outcome.steps_run})"
+        )
+    else:
+        line = f"no collapse within {accrual.max_time:.6g} s"
+    return _prepend_manifest(manifest, line + "\n")
 
 
 def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
@@ -396,13 +398,11 @@ def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
             time_field = repr(out.collapse_time) if out.collapsed else ""
             lines.append(f"{rate!r},{time_field}")
         return _prepend_manifest(manifest, "\n".join(lines) + "\n")
-    if fmt == "text":
-        lines = [f"{'budget_rate_w':<16}collapse_time_s"]
-        for rate, out in results:
-            time_field = f"{out.collapse_time:.6g}" if out.collapsed else "-"
-            lines.append(f"{rate:<16.6g}{time_field}")
-        return _prepend_manifest(manifest, "\n".join(lines) + "\n")
-    raise DomainError(f"sweep mode supports json, csv, or text, got {fmt!r}")
+    lines = [f"{'budget_rate_w':<16}collapse_time_s"]
+    for rate, out in results:
+        time_field = f"{out.collapse_time:.6g}" if out.collapsed else "-"
+        lines.append(f"{rate:<16.6g}{time_field}")
+    return _prepend_manifest(manifest, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
@@ -421,6 +421,9 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         raise DomainError("config must be a JSON object with a 'mode' key")
 
     mode = config["mode"]
+    # Checked before any simulation work: accrual has no csv form.
+    if mode == "accrual" and args.format == "csv":
+        raise DomainError("accrual mode supports json or text, got 'csv'")
     seed: int | None = None
     if mode in ("tracks", "censor"):
         _require_keys(config, {"mode", "seed", "n_tracks", "distribution"}, _TRACK_KEYS)
@@ -434,7 +437,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                 ) from exc
 
-    resolved = {k: v for k, v in sorted(config.items()) if k != "workers"}
+    resolved = dict(sorted(config.items()))
     if seed is not None:
         resolved["seed"] = seed
     manifest = _manifest(
@@ -480,11 +483,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("budget", help="compute the energy budget and audit")
-    p.add_argument("--temperature", type=float, default=300.0, help="K")
-    p.add_argument("--bits", type=float, default=1e6, help="bits per symbolic unit")
-    p.add_argument("--modes", type=float, default=1e23, help="degrees of freedom")
-    p.add_argument("--tau", type=float, default=1e-3, help="sustain time, s")
-    p.add_argument("--fps", type=float, default=60.0, help="frame rate, Hz")
+    stated = ThermoQuery()  # the defaults are the stated reference inputs
+    for flag, default, help_text in (
+        ("--temperature", stated.temperature, "K"),
+        ("--bits", stated.bits, "bits per symbolic unit"),
+        ("--modes", stated.n_modes, "degrees of freedom"),
+        ("--tau", stated.sustain_time, "sustain time, s"),
+        ("--fps", stated.frame_rate, "frame rate, Hz"),
+    ):
+        p.add_argument(flag, type=float, default=default, help=help_text)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_budget)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import PhysConsts, get_paper_values
+from .constants import get_paper_values
 from .errors import DataError, DomainError
 from .rng import libm_map, std_normal_range, unit_uniform_range
 from .solvency import ParticleSpec, n_real_values
@@ -100,12 +100,7 @@ def _is_int(value: object) -> bool:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Synthetic track population configuration.
-
-    ``workers`` is accepted for compatibility and ignored: generation
-    is a single vectorized pass, so it can never change the output.  It
-    is excluded from run manifests.
-    """
+    """Synthetic track population configuration."""
 
     seed: int
     n_tracks: int
@@ -113,7 +108,6 @@ class SimConfig:
     particle: ParticleSpec | None = None
     momentum_source: str = "paper"
     floor_n: float = get_paper_values().floor_n
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not _is_int(self.seed):
@@ -122,8 +116,6 @@ class SimConfig:
             raise DomainError(f"n_tracks must be an integer >= 1, got {self.n_tracks!r}")
         if not (math.isfinite(self.floor_n) and self.floor_n >= 0):
             raise DomainError(f"floor_n must be finite and >= 0, got {self.floor_n}")
-        if not (_is_int(self.workers) and self.workers >= 1):
-            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     """Draw ``n_tracks`` radii deterministically from (seed, index).
 
     Track i + 1 gets draw i of the seed's stream, so identical configs
-    produce identical datasets (``workers`` is ignored).
+    produce identical datasets.
     """
     dist = config.distribution
     try:
@@ -202,10 +194,7 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
 
 
 def censor_at_floor(
-    dataset: TrackDataset,
-    floor_n: float,
-    momentum: float,
-    consts: PhysConsts | None = None,
+    dataset: TrackDataset, floor_n: float, momentum: float
 ) -> TrackDataset:
     """Keep exactly the tracks whose solvency index clears the floor.
 
@@ -216,7 +205,7 @@ def censor_at_floor(
         raise DomainError(f"momentum must be finite and > 0, got {momentum}")
     if not (math.isfinite(floor_n) and floor_n >= 0):
         raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
-    keep = n_real_values(dataset.radii, momentum, consts) >= floor_n
+    keep = n_real_values(dataset.radii, momentum) >= floor_n
     return TrackDataset(
         ids=dataset.ids[keep],
         radii=dataset.radii[keep],

@@ -17,8 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import PhysConsts, get_consts
+import numpy as np
+
+from .constants import get_consts
 from .errors import DomainError
+
+_CONSTS = get_consts()
 
 
 @dataclass(frozen=True)
@@ -65,35 +69,33 @@ def momentum_from_energy(particle: ParticleSpec) -> float:
     return math.sqrt(2.0 * particle.mass * particle.kinetic_energy)
 
 
-def action_index(
-    radius: float, momentum: float, consts: PhysConsts | None = None
-) -> ActionIndex:
+def action_index(radius: float, momentum: float) -> ActionIndex:
     """Solvency index for one track: n = radius * momentum / hbar."""
     if not (math.isfinite(radius) and radius >= 0):
         raise DomainError(f"radius must be finite and >= 0, got {radius}")
     if not (math.isfinite(momentum) and momentum >= 0):
         raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
-    consts = consts or get_consts()
-    n_real = radius * momentum / consts.hbar
+    n_real = radius * momentum / _CONSTS.hbar
     if not math.isfinite(n_real):
         raise DomainError(
             f"solvency index r*p/hbar is not finite for radius {radius!r} m"
             f" at momentum {momentum!r}"
         )
     n_quanta = math.floor(n_real)
-    return ActionIndex(n_real=n_real, n_quanta=n_quanta, action=n_quanta * consts.h)
+    return ActionIndex(n_real=n_real, n_quanta=n_quanta, action=n_quanta * _CONSTS.h)
 
 
-def n_real_values(radii, momentum: float, consts: PhysConsts | None = None):
+def n_real_values(radii, momentum: float):
     """Continuous indices r*p/hbar of many radii (a numpy array) at once.
 
-    Element i equals ``action_index(radii[i], momentum, consts).n_real``
-    bit for bit; the radii are taken as already validated.
+    Element i equals ``action_index(radii[i], momentum).n_real`` bit for
+    bit; the radii are taken as already validated.  An index past the
+    float range is inf, without a warning: callers check finiteness.
     """
     if not (math.isfinite(momentum) and momentum >= 0):
         raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
-    consts = consts or get_consts()
-    return radii * momentum / consts.hbar
+    with np.errstate(over="ignore"):
+        return radii * momentum / _CONSTS.hbar
 
 
 def collapse_test(

@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import PhysConsts, get_consts
+from .constants import get_consts
 from .errors import DomainError
+
+_CONSTS = get_consts()
 
 # Relative gap above which the auditor flags a quantity.
 FLAG_THRESHOLD = 0.10
@@ -62,7 +64,7 @@ BIO_REFERENCE: dict[str, float] = {
 class ThermoQuery:
     """Inputs to the budget; defaults are the stated reference inputs."""
 
-    temperature: float = 300.0             # K
+    temperature: float = _CONSTS.default_temperature  # K
     bits: float = 1e6                      # bits per rendered symbolic unit
     n_modes: float = 1e23                  # interacting degrees of freedom
     sustain_time: float = 1e-3             # s
@@ -110,59 +112,46 @@ class DiscrepancyRecord:
     flagged: bool
 
 
-def landauer_cost(
-    temperature: float, bits: float, consts: PhysConsts | None = None
-) -> tuple[float, float]:
+def landauer_cost(temperature: float, bits: float) -> tuple[float, float]:
     """Minimum erasure cost: (per-bit k_B*T*ln2, total for ``bits``)."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
     if not (math.isfinite(bits) and bits >= 0):
         raise DomainError(f"bits must be >= 0, got {bits}")
-    consts = consts or get_consts()
-    per_bit = consts.k_b * temperature * math.log(2.0)
+    per_bit = _CONSTS.k_b * temperature * math.log(2.0)
     return per_bit, bits * per_bit
 
 
-def decoherence_rate(temperature: float, consts: PhysConsts | None = None) -> float:
+def decoherence_rate(temperature: float) -> float:
     """Thermal decoherence rate k_B*T/hbar in Hz."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    consts = consts or get_consts()
-    return consts.k_b * temperature / consts.hbar
+    return _CONSTS.k_b * temperature / _CONSTS.hbar
 
 
-def min_sustain_energy(sustain_time: float, consts: PhysConsts | None = None) -> float:
+def min_sustain_energy(sustain_time: float) -> float:
     """Minimum energy hbar/tau to sustain coherence for ``sustain_time``."""
     if not (math.isfinite(sustain_time) and sustain_time > 0):
         raise DomainError(f"sustain_time must be > 0, got {sustain_time}")
-    consts = consts or get_consts()
-    return consts.hbar / sustain_time
+    return _CONSTS.hbar / sustain_time
 
 
-def coherence_cost(
-    n_modes: float, temperature: float, consts: PhysConsts | None = None
-) -> float:
+def coherence_cost(n_modes: float, temperature: float) -> float:
     """Entropic lower bound N*k_B*T to hold N modes coherent (">~")."""
     if not (math.isfinite(n_modes) and n_modes >= 0):
         raise DomainError(f"n_modes must be >= 0, got {n_modes}")
     if not (math.isfinite(temperature) and temperature > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    consts = consts or get_consts()
-    return n_modes * consts.k_b * temperature
+    return n_modes * _CONSTS.k_b * temperature
 
 
-def ml_bound(
-    transition_time: float,
-    n_transitions: float,
-    consts: PhysConsts | None = None,
-) -> tuple[float, float]:
+def ml_bound(transition_time: float, n_transitions: float) -> tuple[float, float]:
     """Speed-limit minimum energy h/(4*t) and per-frame N*h/(4*t)."""
     if not (math.isfinite(transition_time) and transition_time > 0):
         raise DomainError(f"transition_time must be > 0, got {transition_time}")
     if not (math.isfinite(n_transitions) and n_transitions >= 0):
         raise DomainError(f"n_transitions must be >= 0, got {n_transitions}")
-    consts = consts or get_consts()
-    ml_min = consts.h / (4.0 * transition_time)
+    ml_min = _CONSTS.h / (4.0 * transition_time)
     return ml_min, n_transitions * ml_min
 
 
@@ -192,24 +181,21 @@ def asymmetry_ratio(
     return w_wave / w_collapsed
 
 
-def compute_budget(
-    query: ThermoQuery | None = None, consts: PhysConsts | None = None
-) -> EnergyBudget:
+def compute_budget(query: ThermoQuery | None = None) -> EnergyBudget:
     """Evaluate every budget component for one query.
 
     The per-frame speed-limit energy uses ``bits`` as the transition
     count, matching the stated per-symbolic-unit usage.
     """
     query = query or ThermoQuery()
-    consts = consts or get_consts()
-    erase_per_bit, erase_total = landauer_cost(query.temperature, query.bits, consts)
-    ml_min, per_frame = ml_bound(1.0 / query.frame_rate, query.bits, consts)
+    erase_per_bit, erase_total = landauer_cost(query.temperature, query.bits)
+    ml_min, per_frame = ml_bound(1.0 / query.frame_rate, query.bits)
     return EnergyBudget(
         erase_per_bit=erase_per_bit,
         erase_total=erase_total,
-        decoherence_rate=decoherence_rate(query.temperature, consts),
-        min_sustain=min_sustain_energy(query.sustain_time, consts),
-        coherence_cost=coherence_cost(query.n_modes, query.temperature, consts),
+        decoherence_rate=decoherence_rate(query.temperature),
+        min_sustain=min_sustain_energy(query.sustain_time),
+        coherence_cost=coherence_cost(query.n_modes, query.temperature),
         ml_min_energy=ml_min,
         per_frame=per_frame,
         dynamic_rate=dynamic_rendering_rate(
@@ -218,18 +204,15 @@ def compute_budget(
     )
 
 
-def audit_against_paper(
-    budget: EnergyBudget, stated: dict[str, float] | None = None
-) -> list[DiscrepancyRecord]:
-    """Compare computed budget fields against stated magnitudes.
+def audit_against_paper(budget: EnergyBudget) -> list[DiscrepancyRecord]:
+    """Compare computed budget fields against ``STATED_MAGNITUDES``.
 
     Only meaningful when the budget was computed from the stated default
     inputs; one record per quantity with a stated magnitude, in a fixed
     order.
     """
-    stated = STATED_MAGNITUDES if stated is None else stated
     records = []
-    for quantity, target in stated.items():
+    for quantity, target in STATED_MAGNITUDES.items():
         computed = getattr(budget, quantity)
         gap = abs(computed - target) / abs(target)
         records.append(

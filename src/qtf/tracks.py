@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import PhysConsts, get_consts, get_paper_values, sci
+from .constants import get_paper_values, sci
 from .errors import DataError, DomainError
 from .solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 
@@ -227,13 +227,20 @@ def compute_stats(dataset: TrackDataset, *, sample_sigma: bool = False) -> Track
         raise DataError("cannot compute statistics of an empty dataset")
     radii = np.sort(dataset.radii)
     count = int(radii.size)
-    mean = float(radii.mean())
-    if count == 1:
-        sigma = 0.0
-    else:
-        sigma = float(radii.std(ddof=1 if sample_sigma else 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(radii.mean())
+        if count == 1:
+            sigma = 0.0
+        else:
+            sigma = float(radii.std(ddof=1 if sample_sigma else 0))
     low = mean - sigma
     high = mean + sigma
+    for name, value in (("mean", mean), ("sigma", sigma), ("band", high)):
+        if not math.isfinite(value):
+            raise DomainError(
+                f"radius {name} overflows the float range"
+                f" (largest radius {float(radii[-1])!r} m)"
+            )
     mask = (radii >= low) & (radii <= high)
     filtered = radii[mask]
     # In exact arithmetic the inclusive band always holds at least one
@@ -281,25 +288,23 @@ def solvency_report(
     particle: ParticleSpec | None = None,
     momentum_source: str = "paper",
     floor_n: float = get_paper_values().floor_n,
-    consts: PhysConsts | None = None,
-    *,
-    sample_sigma: bool = False,
 ) -> SolvencyReport:
     """Full pipeline result for one dataset: stats plus solvency indices."""
     if not (math.isfinite(floor_n) and floor_n >= 0):
         raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
-    consts = consts or get_consts()
-    stats = compute_stats(dataset, sample_sigma=sample_sigma)
     momentum, source = resolve_momentum(momentum_source, particle)
-    n_values = n_real_values(dataset.radii, momentum, consts)
+    n_values = n_real_values(dataset.radii, momentum)
     n_values.flags.writeable = False
-    n_min = float(n_values.min())
-    n_max = float(n_values.max())
-    if not math.isfinite(n_max):
+    # Checked before the statistics, which would otherwise report the
+    # same out-of-range radii as an overflowing mean.
+    if not np.isfinite(n_values).all():
         raise DomainError(
             f"solvency index r*p/hbar is not finite for radius"
             f" {float(dataset.radii.max())!r} m at momentum {momentum!r}"
         )
+    stats = compute_stats(dataset)
+    n_min = float(n_values.min())
+    n_max = float(n_values.max())
     return SolvencyReport(
         dataset=dataset,
         stats=stats,
@@ -307,8 +312,8 @@ def solvency_report(
         momentum_source=source,
         floor_n=floor_n,
         n_values=n_values,
-        n_median=action_index(stats.median_radius, momentum, consts).n_real,
-        n_filtered_mean=action_index(stats.filtered_mean_radius, momentum, consts).n_real,
+        n_median=action_index(stats.median_radius, momentum).n_real,
+        n_filtered_mean=action_index(stats.filtered_mean_radius, momentum).n_real,
         n_min=n_min,
         n_max=n_max,
         floor_satisfied=n_min >= floor_n,

@@ -17,8 +17,10 @@ def run_cli(
     *args: str,
     env_extra: dict[str, str] | None = None,
     cwd: str | Path | None = None,
+    timeout: float | None = None,
 ) -> subprocess.CompletedProcess:
-    """Run the CLI black-box in a subprocess, source tree on the path."""
+    """Run the CLI black-box in a subprocess, source tree on the path;
+    past ``timeout`` seconds it is killed and ``TimeoutExpired`` raised."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("QTF_SEED", None)
@@ -29,6 +31,7 @@ def run_cli(
         capture_output=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 

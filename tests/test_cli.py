@@ -73,8 +73,12 @@ class TestExitCodes:
         assert run_cli("simulate", "/nonexistent/config.json").returncode == 1
 
     def test_unknown_config_keys_rejected(self, tmp_path):
-        path = write_config(tmp_path, {**SWEEP_CONFIG, "typo_key": 1})
-        assert run_cli("simulate", str(path)).returncode == 1
+        # workers is no config key either
+        for config in ({**SWEEP_CONFIG, "typo_key": 1}, {**CENSOR_CONFIG, "workers": 1}):
+            proc = run_cli("simulate", write_config(tmp_path, config))
+            assert proc.returncode == 1, config
+            assert b"unknown keys" in proc.stderr
+            assert not proc.stdout
 
     def test_wrong_config_value_types_rejected(self, tmp_path):
         bad_rates = write_config(tmp_path, {**SWEEP_CONFIG, "budget_rates_w": 3})
@@ -166,6 +170,16 @@ class TestBudgetCommand:
         flagged = {r["quantity"] for r in doc["audit"]["records"] if r["flagged"]}
         assert flagged == {"decoherence_rate", "per_frame"}
 
+    def test_explicit_stated_inputs_keep_the_audit(self):
+        # the flag defaults are ThermoQuery's, so spelling them out changes nothing
+        explicit = run_cli(
+            "budget", "--temperature", "300", "--bits", "1e6", "--modes", "1e23",
+            "--tau", "0.001", "--fps", "60",
+        )
+        doc = json.loads(explicit.stdout)
+        assert doc["audit"]["applicable"] is True
+        assert doc["query"] == json.loads(run_cli("budget").stdout)["query"]
+
     def test_zero_modes(self):
         doc = json.loads(run_cli("budget", "--modes", "0").stdout)
         assert doc["budget"]["coherence_cost"] == 0.0
@@ -256,39 +270,29 @@ class TestSimulateCommand:
         assert doc["momentum"]["source"] == "derived-from-spec"
 
     def test_accrual_rejects_csv_format(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "mode": "accrual",
-                "initial_budget_j": 1.0,
-                "budget_rate_w": 0.0,
-                "cost_rate_w": 2.0,
-                "time_step_s": 0.1,
-                "max_time_s": 1.0,
-            },
-        )
-        assert run_cli("simulate", path, "--format", "csv").returncode == 1
+        ten_steps = {
+            "mode": "accrual",
+            "initial_budget_j": 1.0,
+            "budget_rate_w": 0.0,
+            "cost_rate_w": 2.0,
+            "time_step_s": 0.1,
+            "max_time_s": 1.0,
+        }
+        # 1e15 steps that never collapse: rejected before any step runs
+        never = {**ten_steps, "budget_rate_w": 2.0, "cost_rate_w": 1.0,
+                 "time_step_s": 0.001, "max_time_s": 1e12}
+        for config in (ten_steps, never):
+            path = write_config(tmp_path, config)
+            proc = run_cli("simulate", path, "--format", "csv", timeout=5)
+            assert proc.returncode == 1, config
+            assert b"accrual mode supports json or text" in proc.stderr
+            assert not proc.stdout
 
     def test_sweep_text_format(self, tmp_path):
         path = write_config(tmp_path, SWEEP_CONFIG)
         out = run_cli("simulate", path, "--format", "text").stdout.decode()
         assert "budget_rate_w" in out
         assert "-" in out.splitlines()[-1]  # non-collapsing rate
-
-    def test_workers_excluded_from_manifest(self, tmp_path):
-        serial = write_config(tmp_path, {**CENSOR_CONFIG, "workers": 1})
-        threaded = tmp_path / "threaded.json"
-        threaded.write_text(
-            json.dumps({**CENSOR_CONFIG, "workers": 4}), encoding="utf-8"
-        )
-        out_serial = run_cli("simulate", serial).stdout
-        out_threaded = run_cli("simulate", str(threaded)).stdout
-        # identical report apart from the config-file digest
-        doc_a = json.loads(out_serial)
-        doc_b = json.loads(out_threaded)
-        doc_a["manifest"].pop("input_digest")
-        doc_b["manifest"].pop("input_digest")
-        assert doc_a == doc_b
 
 
 class TestReportSchema:
@@ -325,8 +329,6 @@ class TestConfigHardening:
             {"seed": True},
             {"n_tracks": True},
             {"seed": "42"},
-            {"workers": 1.5},
-            {"workers": True},
         ],
     )
     def test_non_integral_or_boolean_values_rejected(self, tmp_path, override):
@@ -337,7 +339,7 @@ class TestConfigHardening:
 
     def test_integral_floats_accepted(self, tmp_path):
         exact = json.loads(run_cli("simulate", write_config(tmp_path, CENSOR_CONFIG)).stdout)
-        floats = {**CENSOR_CONFIG, "seed": 42.0, "n_tracks": 228.0, "workers": 2.0}
+        floats = {**CENSOR_CONFIG, "seed": 42.0, "n_tracks": 228.0}
         doc = json.loads(run_cli("simulate", write_config(tmp_path, floats)).stdout)
         assert doc["manifest"]["seed"] == 42
         assert doc["tracks"] == exact["tracks"]
@@ -536,6 +538,24 @@ class TestOverflowIsAConfigError:
             "distribution": {"kind": "lognormal", "mean_m": 1e-100, "sd_m": 1e100},
         }
         assert "sd/mean overflows" in self.run_config(tmp_path, capsys, config)
+
+    def test_overflowing_statistics(self, tmp_path):
+        # every index is finite (the momentum underflows to 0), but the
+        # sum behind the mean leaves the float range
+        config = {
+            **CENSOR_CONFIG,
+            "mode": "tracks",
+            "distribution": {"kind": "uniform", "lo_m": 1e306, "hi_m": 1e308},
+            "momentum_source": "derived",
+            "particle": {"mass_kg": 1e-300, "kinetic_energy_j": 1e-300},
+        }
+        proc = run_cli("simulate", write_config(tmp_path, config))
+        assert proc.returncode == 1
+        assert not proc.stdout
+        err = proc.stderr.decode()
+        assert "RuntimeWarning" not in err
+        [line] = err.splitlines()
+        assert line.startswith("qtf: error: radius mean overflows the float range")
 
     def test_accrual_step_count_overflow(self, tmp_path, capsys):
         config = {**ACCRUAL_CONFIG, "max_time_s": 1e308, "time_step_s": 0.01}

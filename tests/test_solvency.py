@@ -97,7 +97,7 @@ class TestActionIndex:
     @settings(deadline=None)
     def test_quantization_invariants(self, radius, momentum):
         consts = get_consts()
-        idx = action_index(radius, momentum, consts)
+        idx = action_index(radius, momentum)
         assert idx.n_quanta == math.floor(idx.n_real)
         assert idx.n_quanta <= idx.n_real < idx.n_quanta + 1
         assert idx.action == idx.n_quanta * consts.h

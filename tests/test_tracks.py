@@ -216,6 +216,14 @@ class TestStats:
         assert sample == pytest.approx(1e-3, rel=1e-12)
         assert sample > population
 
+    @pytest.mark.parametrize(
+        "rows, statistic",
+        [(["1e308", "1.5e308"], "mean"), (["1e-3", "1e160"], "sigma")],
+    )
+    def test_overflowing_statistic_is_domain_error(self, rows, statistic):
+        with pytest.raises(DomainError, match=f"radius {statistic} overflows"):
+            compute_stats(make(rows, unit="m"))
+
     @given(
         st.lists(st.floats(min_value=1e-4, max_value=0.05), min_size=1, max_size=300)
     )
