@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from importlib import resources
 
 
 @dataclass(frozen=True)
@@ -90,5 +89,7 @@ def sci(x: float, sig: int = 3) -> str:
 
 def load_snapshot_file() -> dict:
     """Load the checked-in ``constants.json`` audit snapshot."""
+    from importlib import resources
+
     text = resources.files("qtf.data").joinpath("constants.json").read_text("utf-8")
     return json.loads(text)

@@ -21,7 +21,7 @@ agree to within a few percent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import get_consts
 from .errors import DomainError
@@ -185,12 +185,13 @@ def compute_budget(query: ThermoQuery | None = None) -> EnergyBudget:
     """Evaluate every budget component for one query.
 
     The per-frame speed-limit energy uses ``bits`` as the transition
-    count, matching the stated per-symbolic-unit usage.
+    count, matching the stated per-symbolic-unit usage.  A component
+    that leaves the float range is a ``DomainError`` naming it.
     """
     query = query or ThermoQuery()
     erase_per_bit, erase_total = landauer_cost(query.temperature, query.bits)
     ml_min, per_frame = ml_bound(1.0 / query.frame_rate, query.bits)
-    return EnergyBudget(
+    budget = EnergyBudget(
         erase_per_bit=erase_per_bit,
         erase_total=erase_total,
         decoherence_rate=decoherence_rate(query.temperature),
@@ -202,6 +203,14 @@ def compute_budget(query: ThermoQuery | None = None) -> EnergyBudget:
             query.energy_per_mode_per_frame, query.n_modes, query.frame_rate
         ),
     )
+    for field in fields(budget):
+        value = getattr(budget, field.name)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"budget component {field.name} is not finite ({value!r});"
+                " the inputs leave the float range"
+            )
+    return budget
 
 
 def audit_against_paper(budget: EnergyBudget) -> list[DiscrepancyRecord]:

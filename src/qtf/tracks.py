@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -478,10 +477,14 @@ def fixture_text() -> str:
 
 def load_fixture() -> TrackDataset:
     """Parse the packaged synthetic fixture."""
+    from importlib import resources
+
     text = resources.files("qtf.data").joinpath(FIXTURE_NAME).read_text("utf-8")
     return parse_dataset(text, unit="mm", source_label=f"packaged:{FIXTURE_NAME}")
 
 
 def fixture_path() -> Path:
     """Filesystem path of the packaged fixture (source installs)."""
+    from importlib import resources
+
     return Path(str(resources.files("qtf.data").joinpath(FIXTURE_NAME)))

@@ -562,6 +562,33 @@ class TestOverflowIsAConfigError:
         err = self.run_config(tmp_path, capsys, config)
         assert "max_time/time_step overflows" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_overflowing_budget(self, fmt):
+        # k_B*T/hbar leaves the float range: json would hold Infinity and
+        # the text table would end in a traceback
+        proc = run_cli("budget", "--temperature", "1e308", "--format", fmt)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith(
+            "qtf: error: budget component decoherence_rate is not finite (inf)"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("base", [ACCRUAL_CONFIG, SWEEP_CONFIG], ids=["accrual", "sweep"])
+    def test_accrual_step_cap(self, tmp_path, base, fmt):
+        # 1e15 steps that never collapse: rejected before the first step
+        never = {**base, "budget_rate_w": 2.0, "cost_rate_w": 1.0,
+                 "time_step_s": 0.001, "max_time_s": 1e12}
+        if base is SWEEP_CONFIG:
+            del never["budget_rate_w"]
+        proc = run_cli("simulate", write_config(tmp_path, never), "--format", fmt, timeout=5)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("qtf: error: accrual run of 1000000000000000 steps")
+        assert line.endswith("exceeds the cap of 100000000 steps (max_time/time_step)")
+
 
 class TestOneFileReader:
     @pytest.mark.parametrize("missing", [False, True])

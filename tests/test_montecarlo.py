@@ -9,6 +9,7 @@ from scipy import stats as sp_stats
 
 from qtf.errors import DataError, DomainError
 from qtf.montecarlo import (
+    MAX_ACCRUAL_STEPS,
     AccrualConfig,
     Lognormal,
     SimConfig,
@@ -268,6 +269,23 @@ class TestAccrual:
                 initial_budget=-1.0, budget_rate=0.0, cost_rate=1.0,
                 time_step=0.1, max_time=1.0,
             )
+
+    def test_step_cap(self):
+        def config(max_time):
+            return AccrualConfig(
+                initial_budget=1.0, budget_rate=2.0, cost_rate=1.0,
+                time_step=1.0, max_time=max_time,
+            )
+
+        assert config(float(MAX_ACCRUAL_STEPS)).n_steps == MAX_ACCRUAL_STEPS
+        with pytest.raises(
+            DomainError,
+            match=f"accrual run of {MAX_ACCRUAL_STEPS + 1} steps exceeds the cap"
+            f" of {MAX_ACCRUAL_STEPS} steps",
+        ):
+            config(MAX_ACCRUAL_STEPS + 1.0)
+        # a run of 1e6 steps, the size the sweep benchmark uses, still runs
+        assert run_accrual(config(1e6)).steps_run == 10**6
 
 
 class TestSweep:

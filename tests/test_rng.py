@@ -1,10 +1,13 @@
 import math
 import struct
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtf.rng import (
+    libm_map,
     raw64,
     raw64_range,
     std_normal,
@@ -82,3 +85,37 @@ def test_bulk_normals_bit_identical_over_many_draws():
     assert [struct.pack("<d", x) for x in bulk] == [
         struct.pack("<d", std_normal(11, i)) for i in range(n)
     ]
+
+
+def libm_list(fn, values: np.ndarray) -> list[float]:
+    return [fn(x) for x in values.tolist()]
+
+
+def test_numpy_cos_is_the_c_library_cos():
+    # std_normal_range takes cos from numpy's float64 loop, which calls
+    # the C library's cos, the function math.cos calls; should numpy
+    # ever bring its own cos, the bulk draws would drift from std_normal
+    angles = (2.0 * math.pi) * unit_uniform_range(5, 100_000)
+    gen = np.random.default_rng(3)
+    wide = np.ldexp(gen.uniform(-1.0, 1.0, 100_000), gen.integers(-60, 1000, 100_000))
+    for values in (angles, wide):
+        mismatched = np.flatnonzero(
+            np.cos(values).view(np.uint64)
+            != np.array(libm_list(math.cos, values)).view(np.uint64)
+        )
+        assert mismatched.size == 0, (
+            f"np.cos differs from math.cos at {mismatched.size} of {values.size}"
+            f" values, first at {values[mismatched[0]]!r}; route the Box-Muller"
+            " angle in std_normal_range back through libm_map(math.cos, ...)"
+        )
+
+
+@pytest.mark.parametrize("fn", [math.log, math.cos, math.exp])
+def test_libm_map_reads_strided_and_read_only_arrays(fn):
+    base = unit_uniform_range(9, 1001) + 0.5
+    read_only = base.copy()
+    read_only.flags.writeable = False
+    for values in (base, base[::3], base[::-2], read_only, read_only[1::2], base[:0]):
+        out = libm_map(fn, values)
+        assert out.dtype == np.float64
+        assert out.tolist() == libm_list(fn, values)

@@ -8,24 +8,62 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qtf
 from conftest import SRC
+from qtf.tracks import fixture_path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def run_python(code: str, **env_extra: str) -> dict:
-    """Run ``code`` in a fresh interpreter with none of the BLAS thread
-    variables set except ``env_extra``; it prints one JSON document."""
+def run_python(
+    code: str, *flags: str, path: list[str] | None = None, **env_extra: str
+) -> dict:
+    """Run ``code`` in a fresh interpreter started with ``flags`` and with
+    none of the BLAS thread variables set except ``env_extra``; it prints
+    one JSON document.  ``path``, when given, is the whole PYTHONPATH;
+    otherwise the source tree is put in front of the caller's."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if path is None:
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    else:
+        env["PYTHONPATH"] = os.pathsep.join(path)
     env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
     )
     return json.loads(proc.stdout)
+
+
+def modules_loaded_by(argv: list[str], watched: tuple[str, ...], *, no_site=False):
+    """The modules of ``watched`` that ``main(argv)`` loads in a fresh
+    interpreter; the call must succeed.  With ``no_site`` the interpreter
+    runs with ``-S``, so no ``.pth`` file preloads anything, and its path
+    is only the source tree and numpy's directory."""
+    flags, path = (), None
+    if no_site:
+        flags, path = ("-S",), [str(SRC), str(Path(np.__file__).parents[1])]
+    doc = run_python(
+        "import contextlib, io, json, sys\n"
+        "from qtf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"loaded = [m for m in {watched!r} if m in sys.modules]\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))\n",
+        *flags,
+        path=path,
+    )
+    assert doc["code"] == 0, argv
+    return doc["loaded"]
 
 
 ENV_AFTER_IMPORT = """
@@ -74,21 +112,54 @@ def test_import_starts_no_thread():
 
 
 HEAVY_MODULES = ("qtf.tracks", "qtf.montecarlo", "qtf.solvency", "qtf.rng", "_hashlib")
+TRACK_LAYERS = ("qtf.tracks", "qtf.solvency", "qtf.rng")
 
 
 @pytest.mark.parametrize("argv", [["budget"], ["constants"], ["--version"]])
 def test_light_subcommands_load_no_heavy_layer(argv):
-    loaded = run_python(
-        "import contextlib, io, json, sys\n"
-        "from qtf.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        f"        main({argv!r})\n"
-        "    except SystemExit:\n"
-        "        pass\n"
-        f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
-    )
-    assert loaded == []
+    assert modules_loaded_by(argv, HEAVY_MODULES) == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {
+            "mode": "accrual",
+            "initial_budget_j": 10.0,
+            "budget_rate_w": 1.0,
+            "cost_rate_w": 2.0,
+            "time_step_s": 0.01,
+            "max_time_s": 20.0,
+        },
+        {
+            "mode": "sweep",
+            "initial_budget_j": 10.0,
+            "cost_rate_w": 2.0,
+            "time_step_s": 0.01,
+            "max_time_s": 30.0,
+            "budget_rates_w": [0.0, 0.5, 1.0],
+        },
+    ],
+    ids=["accrual", "sweep"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_accrual_and_sweep_load_no_track_layer(tmp_path, config, fmt):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["simulate", str(path), "--format", fmt]
+    assert modules_loaded_by(argv, ("qtf.montecarlo", *TRACK_LAYERS)) == [
+        "qtf.montecarlo"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["budget"], ["constants"], ["--version"], ["analyze", str(fixture_path())]],
+    ids=["budget", "constants", "version", "analyze"],
+)
+def test_importlib_resources_loads_only_to_read_a_data_file(argv):
+    # no subcommand reads a packaged data file, so none imports it
+    assert modules_loaded_by(argv, ("importlib.resources",), no_site=True) == []
 
 
 def test_public_names_load_on_first_access():

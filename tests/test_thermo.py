@@ -206,6 +206,17 @@ class TestBudgetAndAudit:
             value = getattr(budget, name)
             assert math.isfinite(value) and value >= 0, f"{name} = {value}"
 
+    @pytest.mark.parametrize(
+        "query, component",
+        [
+            (ThermoQuery(temperature=1e308), "decoherence_rate"),
+            (ThermoQuery(energy_per_mode_per_frame=1e300), "dynamic_rate"),
+        ],
+    )
+    def test_component_out_of_float_range_is_domain_error(self, query, component):
+        with pytest.raises(DomainError, match=f"budget component {component} is not"):
+            compute_budget(query)
+
     def test_erase_total_consistency(self):
         query = ThermoQuery()
         budget = compute_budget(query)
