@@ -51,11 +51,8 @@ _EXPORTS = {
     "solvency": (
         "ActionIndex",
         "ParticleSpec",
-        "SolvencyResult",
         "action_index",
-        "collapse_test",
         "momentum_from_energy",
-        "renderable",
     ),
     "thermo": (
         "DiscrepancyRecord",

@@ -18,7 +18,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,20 +43,6 @@ if TYPE_CHECKING:
 SEED_ENV_VAR = "QTF_SEED"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded in every report."""
-
-    tool_version: str
-    subcommand: str
-    resolved_config: dict
-    input_digest: str | None
-    seed: int | None
-
-    def compact(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-
 def _digest(data: bytes) -> str:
     import hashlib
 
@@ -68,23 +54,25 @@ def _manifest(
     resolved_config: dict,
     input_digest: str | None = None,
     seed: int | None = None,
-) -> RunManifest:
-    return RunManifest(
-        tool_version=__version__,
-        subcommand=subcommand,
-        resolved_config=resolved_config,
-        input_digest=input_digest,
-        seed=seed,
-    )
+) -> dict:
+    """The reproducibility header embedded in every report."""
+    return {
+        "tool_version": __version__,
+        "subcommand": subcommand,
+        "resolved_config": resolved_config,
+        "input_digest": input_digest,
+        "seed": seed,
+    }
 
 
-def _render_json(manifest: RunManifest, body: dict) -> str:
-    doc = {"manifest": asdict(manifest), **body}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _prepend_manifest(manifest: RunManifest, body: str) -> str:
-    return f"# manifest: {manifest.compact()}\n{body}"
+def _render(manifest: dict, body: dict | str) -> str:
+    """A report: a JSON body under a ``manifest`` key, or a csv or text
+    body after a ``# manifest:`` comment line."""
+    if isinstance(body, dict):
+        doc = {"manifest": manifest, **body}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    compact = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return f"# manifest: {compact}\n{body}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,23 +84,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its manifest and its report body, a dict for
+# json or a str for csv and text; ``main`` renders both with _render.
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(args: argparse.Namespace) -> str:
+def cmd_constants(args: argparse.Namespace) -> tuple[dict, dict | str]:
     manifest = _manifest("constants", {"format": args.format})
     snapshot = constants_snapshot()
     if args.format == "json":
-        return _render_json(manifest, {"constants": snapshot})
+        return manifest, {"constants": snapshot}
     lines = []
     for tier in ("physical", "paper"):
         for name, value in snapshot[tier].items():
             lines.append(f"{tier + '.' + name:<28}{value!r}")
-    return _prepend_manifest(manifest, "\n".join(lines) + "\n")
+    return manifest, "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args: argparse.Namespace) -> str:
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict | str]:
     from .tracks import (
         emit_summary,
         parse_dataset,
@@ -139,8 +128,8 @@ def cmd_analyze(args: argparse.Namespace) -> str:
         input_digest=_digest(raw),
     )
     if args.format == "json":
-        return _render_json(manifest, report_to_dict(report))
-    return _prepend_manifest(manifest, emit_summary(report, args.format))
+        return manifest, report_to_dict(report)
+    return manifest, emit_summary(report, args.format)
 
 
 def _budget_body(query: ThermoQuery) -> dict:
@@ -158,7 +147,7 @@ def _budget_body(query: ThermoQuery) -> dict:
     }
 
 
-def cmd_budget(args: argparse.Namespace) -> str:
+def cmd_budget(args: argparse.Namespace) -> tuple[dict, dict | str]:
     query = ThermoQuery(
         temperature=args.temperature,
         bits=args.bits,
@@ -169,7 +158,7 @@ def cmd_budget(args: argparse.Namespace) -> str:
     body = _budget_body(query)
     manifest = _manifest("budget", {**asdict(query), "format": args.format})
     if args.format == "json":
-        return _render_json(manifest, body)
+        return manifest, body
 
     lines = [f"{'quantity':<18}{'computed':<14}{'stated':<12}{'gap':<10}flag"]
     stated_by_name = {r["quantity"]: r for r in body["audit"]["records"]}
@@ -188,7 +177,7 @@ def cmd_budget(args: argparse.Namespace) -> str:
     lines.append("")
     for name, value in body["reference"].items():
         lines.append(f"reference.{name:<32}{sci(value)}")
-    return _prepend_manifest(manifest, "\n".join(lines) + "\n")
+    return manifest, "\n".join(lines) + "\n"
 
 
 def _require_keys(config: dict, required: set[str], allowed: set[str]) -> None:
@@ -211,16 +200,27 @@ def _config_int(config: dict, key: str) -> int:
     return value
 
 
-def _config_float(config: dict, key: str, default: float | None = None) -> float:
+def _config_float(config: dict, key: str) -> float:
     """A real config value; integers and floats are accepted, booleans,
     strings and every other JSON type are not."""
-    value = config.get(key, default)
+    value = config[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise DomainError(f"{key} is out of the float range, got {value!r}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a config error, not
+    a silent last-one-wins."""
+    config = {}
+    for key, value in pairs:
+        if key in config:
+            raise DomainError(f"config has repeated key {key!r}")
+        config[key] = value
+    return config
 
 
 def _parse_distribution(spec: dict) -> Lognormal | Uniform:
@@ -281,22 +281,22 @@ _ACCRUAL_KEYS = {
 def _accrual_config(config: dict, *, sweep: bool) -> AccrualConfig:
     from .montecarlo import AccrualConfig
 
+    # A sweep replaces the single budget rate with its list of rates.
     if sweep:
-        required = (_ACCRUAL_KEYS - {"budget_rate_w"}) | {"budget_rates_w"}
-        allowed = _ACCRUAL_KEYS | {"budget_rates_w"}
+        keys = (_ACCRUAL_KEYS - {"budget_rate_w"}) | {"budget_rates_w"}
     else:
-        required = allowed = _ACCRUAL_KEYS
-    _require_keys(config, required, allowed)
+        keys = _ACCRUAL_KEYS
+    _require_keys(config, keys, keys)
     return AccrualConfig(
         initial_budget=_config_float(config, "initial_budget_j"),
-        budget_rate=_config_float(config, "budget_rate_w", 0.0),
+        budget_rate=0.0 if sweep else _config_float(config, "budget_rate_w"),
         cost_rate=_config_float(config, "cost_rate_w"),
         time_step=_config_float(config, "time_step_s"),
         max_time=_config_float(config, "max_time_s"),
     )
 
 
-def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -> str:
+def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
     from .montecarlo import SimConfig, censor_at_floor, generate_tracks
     from .tracks import emit_summary, report_to_dict, resolve_momentum, solvency_report
 
@@ -339,11 +339,11 @@ def _simulate_tracks(config: dict, seed: int, fmt: str, manifest: RunManifest) -
         "floor_n": sim.floor_n,
     }
     if fmt == "json":
-        return _render_json(manifest, {"sim": sim_section, **report_to_dict(report)})
-    return _prepend_manifest(manifest, emit_summary(report, fmt))
+        return {"sim": sim_section, **report_to_dict(report)}
+    return emit_summary(report, fmt)
 
 
-def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
+def _simulate_accrual(config: dict, fmt: str) -> dict | str:
     from .montecarlo import run_accrual
 
     accrual = _accrual_config(config, sweep=False)
@@ -357,7 +357,7 @@ def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
         },
     }
     if fmt == "json":
-        return _render_json(manifest, body)
+        return body
     if outcome.collapsed:
         line = (
             f"collapsed at t = {outcome.collapse_time:.6g} s"
@@ -365,10 +365,10 @@ def _simulate_accrual(config: dict, fmt: str, manifest: RunManifest) -> str:
         )
     else:
         line = f"no collapse within {accrual.max_time:.6g} s"
-    return _prepend_manifest(manifest, line + "\n")
+    return line + "\n"
 
 
-def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
+def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     from .montecarlo import sweep_prediction_1
 
     base = _accrual_config(config, sweep=True)
@@ -379,7 +379,7 @@ def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
     rates = [_config_float(items, key) for key in items]
     results = sweep_prediction_1(base, rates)
     if fmt == "json":
-        body = {
+        return {
             "accrual": asdict(base),
             "sweep": [
                 {
@@ -391,28 +391,29 @@ def _simulate_sweep(config: dict, fmt: str, manifest: RunManifest) -> str:
                 for rate, out in results
             ],
         }
-        return _render_json(manifest, body)
     if fmt == "csv":
         lines = ["budget_rate_w,collapse_time_s"]
         for rate, out in results:
             time_field = repr(out.collapse_time) if out.collapsed else ""
             lines.append(f"{rate!r},{time_field}")
-        return _prepend_manifest(manifest, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
     lines = [f"{'budget_rate_w':<16}collapse_time_s"]
     for rate, out in results:
         time_field = f"{out.collapse_time:.6g}" if out.collapsed else "-"
         lines.append(f"{rate:<16.6g}{time_field}")
-    return _prepend_manifest(manifest, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args: argparse.Namespace) -> str:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
     path = Path(args.config)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(raw.decode("utf-8"))
+        config = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except DomainError:
+        raise
     except (ValueError, RecursionError) as exc:
         # ValueError covers undecodable bytes, bad JSON and integers
         # past the interpreter's digit limit; RecursionError deep nesting.
@@ -448,11 +449,11 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     )
 
     if mode in ("tracks", "censor"):
-        return _simulate_tracks(config, seed, args.format, manifest)
+        return manifest, _simulate_tracks(config, seed, args.format)
     if mode == "accrual":
-        return _simulate_accrual(config, args.format, manifest)
+        return manifest, _simulate_accrual(config, args.format)
     if mode == "sweep":
-        return _simulate_sweep(config, args.format, manifest)
+        return manifest, _simulate_sweep(config, args.format)
     raise DomainError(f"unknown mode {mode!r} (tracks, censor, accrual, sweep)")
 
 
@@ -509,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report = _render(*args.func(args))
     except DataError as exc:
         print(f"qtf: data error: {exc}", file=sys.stderr)
         return 2

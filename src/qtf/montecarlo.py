@@ -127,9 +127,9 @@ class SimConfig:
             raise DomainError(f"floor_n must be finite and >= 0, got {self.floor_n}")
 
 
-# Longest accrual run, in steps.  The loop takes about 0.13 s per 1e6
-# steps on a 2-vCPU x86-64 host, so even a run that never collapses
-# ends in well under a minute.
+# Most steps an accrual run, or a whole sweep of runs, may take.  The
+# loop takes about 0.13 s per 1e6 steps on a 2-vCPU x86-64 host, so
+# even a run or sweep that never collapses ends in well under a minute.
 MAX_ACCRUAL_STEPS = 10**8
 
 
@@ -223,7 +223,8 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
 def censor_at_floor(
     dataset: TrackDataset, floor_n: float, momentum: float
 ) -> TrackDataset:
-    """Keep exactly the tracks whose solvency index clears the floor.
+    """Keep exactly the tracks whose solvency index clears the floor,
+    n_real >= floor_n: a track sitting on the floor is kept.
 
     Tracks retain their original ids; the censored count shows up as
     dropped rows in the returned dataset's provenance.
@@ -267,13 +268,19 @@ def sweep_prediction_1(
     """Run the accrual model across budget rates, ascending.
 
     More budget rate can only delay collapse, so collapse times come out
-    nondecreasing; rates at or above the cost rate never collapse.
+    nondecreasing; rates at or above the cost rate never collapse.  The
+    runs together may take at most ``MAX_ACCRUAL_STEPS`` steps.
     """
     if not budget_rates:
         raise DomainError("budget_rates must be non-empty")
     for rate in budget_rates:
         if not (math.isfinite(rate) and rate >= 0):
             raise DomainError(f"budget rates must be finite and >= 0, got {rate}")
+    if base.n_steps * len(budget_rates) > MAX_ACCRUAL_STEPS:
+        raise DomainError(
+            f"sweep of {len(budget_rates)} rates x {base.n_steps} steps exceeds"
+            f" the cap of {MAX_ACCRUAL_STEPS} steps"
+        )
     return [
         (rate, run_accrual(replace(base, budget_rate=rate)))
         for rate in sorted(budget_rates)

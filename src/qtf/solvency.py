@@ -1,12 +1,15 @@
 """Collapse-solvency calculus.
 
-Three small pieces of arithmetic:
+Two small pieces of arithmetic:
 
 * momentum from kinetic energy, p = sqrt(2*m*E)
 * the per-track solvency index n = r*p/hbar, quantized to whole action
   units (floor, never rounding: there are no partial renderings)
-* the budget ratio test, collapsed iff W_cumulative / W_available > 1
-  (strict inequality; a boundary-exactly-solvent interface holds)
+
+The threshold rules that use the index live where they run: the
+inclusive action floor in ``montecarlo.censor_at_floor`` and
+``tracks.solvency_report`` (``floor_satisfied``), and the strict
+collapse test (cost > budget) in ``montecarlo.run_accrual``.
 
 All operations are pure functions and safe for unrestricted concurrent
 use.
@@ -54,16 +57,6 @@ class ActionIndex:
     action: float
 
 
-@dataclass(frozen=True)
-class SolvencyResult:
-    """Outcome of the budget ratio test."""
-
-    w_cumulative: float
-    w_available: float
-    ratio: float
-    collapsed: bool
-
-
 def momentum_from_energy(particle: ParticleSpec) -> float:
     """Momentum p = sqrt(2*m*E) in kg*m/s; zero energy gives zero."""
     return math.sqrt(2.0 * particle.mass * particle.kinetic_energy)
@@ -96,40 +89,3 @@ def n_real_values(radii, momentum: float):
         raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
     with np.errstate(over="ignore"):
         return radii * momentum / _CONSTS.hbar
-
-
-def collapse_test(
-    w_cumulative: float, w_available: float, *, inclusive: bool = False
-) -> SolvencyResult:
-    """Budget ratio test: collapsed iff the ratio strictly exceeds 1.
-
-    ``inclusive=True`` flips the boundary to >= for sensitivity analysis.
-    An interface with no budget at all (w_available <= 0) is malformed
-    input, not a collapse.
-    """
-    if not (math.isfinite(w_cumulative) and w_cumulative >= 0):
-        raise DomainError(f"w_cumulative must be finite and >= 0, got {w_cumulative}")
-    if not (math.isfinite(w_available) and w_available > 0):
-        raise DomainError(f"w_available must be finite and > 0, got {w_available}")
-    ratio = w_cumulative / w_available
-    collapsed = ratio >= 1.0 if inclusive else ratio > 1.0
-    return SolvencyResult(
-        w_cumulative=w_cumulative,
-        w_available=w_available,
-        ratio=ratio,
-        collapsed=collapsed,
-    )
-
-
-def renderable(index: ActionIndex, floor_n: float, *, strict: bool = False) -> bool:
-    """Whether a track clears the empirical action floor.
-
-    The floor comparison is inclusive (n_real >= floor_n) so that an
-    observed minimum sitting exactly on the floor qualifies;
-    ``strict=True`` flips it for sensitivity analysis.
-    """
-    if not (math.isfinite(floor_n) and floor_n >= 0):
-        raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
-    if strict:
-        return index.n_real > floor_n
-    return index.n_real >= floor_n

@@ -4,7 +4,7 @@ The pipeline reproduces the published arithmetic end to end: parse
 tabulated radii (one per row), compute median / mean / population sigma,
 apply the inclusive 1-sigma filter, compute per-track solvency indices
 n = r*p/hbar, detect the empirical action floor, and render a summary
-in JSON, CSV, or aligned text.
+as a JSON-ready dict, CSV, or aligned text.
 
 The original measurement dataset is not redistributable, so the package
 ships a deterministic 228-row synthetic fixture whose headline
@@ -15,7 +15,6 @@ published values by construction; see :func:`synthetic_radii_mm`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,13 +209,12 @@ def read_dataset(path: str | Path, unit: str = "mm") -> TrackDataset:
     return parse_dataset(read_input(path), unit=unit, source_label=str(Path(path)))
 
 
-def compute_stats(dataset: TrackDataset, *, sample_sigma: bool = False) -> TrackStats:
+def compute_stats(dataset: TrackDataset) -> TrackStats:
     """Median, mean, sigma, and the inclusive 1-sigma filter band.
 
-    Sigma is the population (divide-by-N) standard deviation by default;
-    ``sample_sigma=True`` switches to divide-by-(N-1) for sensitivity
-    checks.  Even-count median is the mean of the two central order
-    statistics.  Both filter bounds are inclusive.
+    Sigma is the population (divide-by-N) standard deviation.  Even-count
+    median is the mean of the two central order statistics.  Both filter
+    bounds are inclusive.
 
     Values are sorted before any accumulation so every statistic is a
     pure function of the multiset: shuffling input rows cannot move a
@@ -228,10 +226,7 @@ def compute_stats(dataset: TrackDataset, *, sample_sigma: bool = False) -> Track
     count = int(radii.size)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(radii.mean())
-        if count == 1:
-            sigma = 0.0
-        else:
-            sigma = float(radii.std(ddof=1 if sample_sigma else 0))
+        sigma = float(radii.std())
     low = mean - sigma
     high = mean + sigma
     for name, value in (("mean", mean), ("sigma", sigma), ("band", high)):
@@ -371,15 +366,14 @@ def _track_rows(report: SolvencyReport):
     return zip(ds.ids.tolist(), ds.radii.tolist(), report.n_values.tolist())
 
 
-def emit_summary(report: SolvencyReport, format: str = "json") -> str:
-    """Render a report deterministically as json, csv, or text.
+def emit_summary(report: SolvencyReport, format: str) -> str:
+    """Render a report deterministically as csv or text.
 
     The text layout mirrors the published two-row summary (median row,
     filtered-mean row) plus a floor line; the CSV is the per-track table
-    (id, radius_m, n_real, n_quanta).
+    (id, radius_m, n_real, n_quanta).  The JSON form is
+    :func:`report_to_dict`, which the CLI renders with its manifest.
     """
-    if format == "json":
-        return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     if format == "csv":
         lines = ["id,radius_m,n_real,n_quanta"]
         for track_id, radius, n in _track_rows(report):
@@ -407,7 +401,7 @@ def emit_summary(report: SolvencyReport, format: str = "json") -> str:
             f" {'satisfied' if report.floor_satisfied else 'violated'}",
         ]
         return "\n".join(lines) + "\n"
-    raise DomainError(f"format must be json, csv, or text, got {format!r}")
+    raise DomainError(f"format must be csv or text, got {format!r}")
 
 
 # ---------------------------------------------------------------------------

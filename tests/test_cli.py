@@ -73,11 +73,17 @@ class TestExitCodes:
         assert run_cli("simulate", "/nonexistent/config.json").returncode == 1
 
     def test_unknown_config_keys_rejected(self, tmp_path):
-        # workers is no config key either
-        for config in ({**SWEEP_CONFIG, "typo_key": 1}, {**CENSOR_CONFIG, "workers": 1}):
+        # workers is no config key either, nor is a sweep's budget_rate_w
+        for config, key in (
+            ({**SWEEP_CONFIG, "typo_key": 1}, "typo_key"),
+            ({**CENSOR_CONFIG, "workers": 1}, "workers"),
+            ({**SWEEP_CONFIG, "budget_rate_w": 123.0}, "budget_rate_w"),
+        ):
             proc = run_cli("simulate", write_config(tmp_path, config))
             assert proc.returncode == 1, config
-            assert b"unknown keys" in proc.stderr
+            assert proc.stderr.decode().splitlines() == [
+                f"qtf: error: config has unknown keys: [{key!r}]"
+            ]
             assert not proc.stdout
 
     def test_wrong_config_value_types_rejected(self, tmp_path):
@@ -588,6 +594,47 @@ class TestOverflowIsAConfigError:
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith("qtf: error: accrual run of 1000000000000000 steps")
         assert line.endswith("exceeds the cap of 100000000 steps (max_time/time_step)")
+
+
+class TestNothingReadSilently:
+    """Config input that would be read wrongly or run without bound is
+    rejected at once, with one error line."""
+
+    def run_config_text(self, tmp_path, text: str) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("simulate", str(path), timeout=5)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        [line] = proc.stderr.decode().splitlines()
+        return line
+
+    def test_sweep_step_cap_counts_every_rate(self, tmp_path):
+        # 2 never-collapsing rates x 6e7 steps: each run is under the cap,
+        # the sweep is not
+        config = {**SWEEP_CONFIG, "cost_rate_w": 1.0, "time_step_s": 1.0,
+                  "max_time_s": 6e7, "budget_rates_w": [1.0, 2.0]}
+        line = self.run_config_text(tmp_path, json.dumps(config))
+        assert line == (
+            "qtf: error: sweep of 2 rates x 60000000 steps exceeds the cap of"
+            " 100000000 steps"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"mode": "tracks", "seed": 1, "seed": 2, "n_tracks": 10,'
+             ' "distribution": {"kind": "uniform", "lo_m": 1e-4, "hi_m": 1e-3}}',
+             "seed"),
+            ('{"mode": "tracks", "seed": 1, "n_tracks": 10, "distribution":'
+             ' {"kind": "uniform", "lo_m": 1e-4, "lo_m": 2e-4, "hi_m": 1e-3}}',
+             "lo_m"),
+        ],
+        ids=["top-level", "distribution"],
+    )
+    def test_repeated_key(self, tmp_path, text, key):
+        line = self.run_config_text(tmp_path, text)
+        assert line == f"qtf: error: config has repeated key {key!r}"
 
 
 class TestOneFileReader:

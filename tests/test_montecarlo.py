@@ -181,6 +181,12 @@ class TestCensor:
         with pytest.raises(DomainError):
             censor_at_floor(ds, 1.0, 0.0)
 
+    @pytest.mark.parametrize("floor", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_floor(self, floor):
+        ds = generate_tracks(config(n=2))
+        with pytest.raises(DomainError, match="floor_n must be finite and >= 0"):
+            censor_at_floor(ds, floor, 3.26e-19)
+
 
 class TestAccrual:
     def test_closed_form_example(self):
@@ -192,6 +198,19 @@ class TestAccrual:
         )
         assert out.collapsed
         assert abs(out.collapse_time - 10.0) <= 0.01
+
+    def test_collapse_boundary_is_strict(self):
+        # the README accrual: cost equals budget exactly at step 1000
+        # (t = 10.0), which holds; collapse is the next step
+        config = AccrualConfig(
+            initial_budget=10.0, budget_rate=1.0, cost_rate=2.0,
+            time_step=0.01, max_time=20.0,
+        )
+        t = 1000 * config.time_step
+        assert config.cost_rate * t == config.initial_budget + config.budget_rate * t
+        out = run_accrual(config)
+        assert out.steps_run == 1001
+        assert out.collapse_time == 10.01
 
     def test_balanced_rates_never_collapse(self):
         out = run_accrual(
@@ -322,6 +341,21 @@ class TestSweep:
     def test_rejects_empty_rates(self):
         with pytest.raises(DomainError):
             sweep_prediction_1(self.BASE, [])
+
+    def test_step_cap_covers_the_whole_sweep(self):
+        # every run collapses at its first step, so only the check costs
+        base = AccrualConfig(
+            initial_budget=0.0, budget_rate=0.0, cost_rate=1.0,
+            time_step=1.0, max_time=MAX_ACCRUAL_STEPS / 2,
+        )
+        results = sweep_prediction_1(base, [0.0, 0.5])
+        assert [out.steps_run for _, out in results] == [1, 1]
+        with pytest.raises(
+            DomainError,
+            match=f"sweep of 3 rates x {MAX_ACCRUAL_STEPS // 2} steps exceeds"
+            f" the cap of {MAX_ACCRUAL_STEPS} steps",
+        ):
+            sweep_prediction_1(base, [0.0, 0.5, 0.25])
 
 
 class TestKs:

@@ -1,18 +1,12 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtf.constants import get_consts
 from qtf.errors import DomainError
-from qtf.solvency import (
-    ParticleSpec,
-    action_index,
-    collapse_test,
-    momentum_from_energy,
-    renderable,
-)
+from qtf.solvency import ParticleSpec, action_index, momentum_from_energy
 
 # Frozen extended-precision oracle values (50-digit arithmetic,
 # computed independently before the implementation):
@@ -102,51 +96,3 @@ class TestActionIndex:
         assert idx.n_quanta <= idx.n_real < idx.n_quanta + 1
         assert idx.action == idx.n_quanta * consts.h
 
-
-class TestCollapseTest:
-    def test_over_budget_collapses(self):
-        result = collapse_test(2.0, 1.0)
-        assert result.ratio == 2.0
-        assert result.collapsed is True
-
-    def test_under_budget_holds(self):
-        result = collapse_test(1.0, 2.0)
-        assert result.ratio == 0.5
-        assert result.collapsed is False
-
-    def test_boundary_is_strict(self):
-        result = collapse_test(1.0, 1.0)
-        assert result.ratio == 1.0
-        assert result.collapsed is False
-        # sensitivity flag flips the boundary
-        assert collapse_test(1.0, 1.0, inclusive=True).collapsed is True
-
-    @pytest.mark.parametrize("avail", [0.0, -1.0, math.nan])
-    def test_no_budget_is_domain_error(self, avail):
-        with pytest.raises(DomainError):
-            collapse_test(1.0, avail)
-
-    @given(a=positive, b=positive, k=st.floats(min_value=1e-6, max_value=1e6))
-    @settings(deadline=None)
-    def test_scale_invariance(self, a, b, k):
-        assume(a == b or abs(a / b - 1.0) > 1e-9)
-        assert collapse_test(k * a, k * b).collapsed == collapse_test(a, b).collapsed
-
-
-class TestRenderable:
-    def test_above_floor(self):
-        assert renderable(action_index(6.67e-3, 3.26e-19), 1e12) is True
-
-    def test_below_floor(self):
-        idx = action_index(1.0, 9.9e-23)  # n_real ~ 9.4e11
-        assert idx.n_real < 1e12
-        assert renderable(idx, 1e12) is False
-
-    def test_boundary_is_inclusive(self):
-        idx = action_index(1.0, 1e-22)
-        assert renderable(idx, idx.n_real) is True
-        assert renderable(idx, idx.n_real, strict=True) is False
-
-    def test_rejects_bad_floor(self):
-        with pytest.raises(DomainError):
-            renderable(action_index(1.0, 1.0), -1.0)
