@@ -187,6 +187,25 @@ class TestCensor:
         with pytest.raises(DomainError, match="floor_n must be finite and >= 0"):
             censor_at_floor(ds, floor, 3.26e-19)
 
+    def test_keeps_track_above_floor(self):
+        ds = parse_dataset("6.67e-3", unit="m")
+        assert action_index(6.67e-3, 3.26e-19).n_real > 1e12
+        assert censor_at_floor(ds, 1e12, 3.26e-19).records == ds.records
+
+    def test_drops_track_below_floor(self):
+        ds = parse_dataset("1.0", unit="m")
+        assert action_index(1.0, 9.9e-23).n_real < 1e12  # n_real ~ 9.4e11
+        censored = censor_at_floor(ds, 1e12, 9.9e-23)
+        assert censored.records == ()
+        assert censored.rows_dropped == 1
+
+    def test_floor_boundary_is_inclusive(self):
+        # a track sitting exactly on the floor is kept; one ulp above drops it
+        ds = parse_dataset("1.0", unit="m")
+        n = action_index(1.0, 1e-22).n_real
+        assert censor_at_floor(ds, n, 1e-22).records == ds.records
+        assert censor_at_floor(ds, math.nextafter(n, math.inf), 1e-22).records == ()
+
 
 class TestAccrual:
     def test_closed_form_example(self):
@@ -276,6 +295,27 @@ class TestAccrual:
                 )
             )
             assert not out.collapsed
+
+    @given(
+        budget=st.just(0.0) | st.floats(min_value=1e-3, max_value=100.0),
+        rate=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        cost=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        exponent=st.integers(min_value=-60, max_value=60),
+    )
+    @example(budget=10.0, rate=1.0, cost=2.0, exponent=-7)  # the strict boundary
+    @settings(deadline=None)
+    def test_scale_invariance(self, budget, rate, cost, exponent):
+        # scaling every energy by a power of two is exact (the bounds keep
+        # every product clear of underflow), so it cannot move the collapse
+        def outcome(k):
+            return run_accrual(
+                AccrualConfig(
+                    initial_budget=k * budget, budget_rate=k * rate,
+                    cost_rate=k * cost, time_step=0.25, max_time=50.0,
+                )
+            )
+
+        assert outcome(2.0**exponent) == outcome(1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
