@@ -379,8 +379,11 @@ def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     rates = [_config_float(items, key) for key in items]
     results = sweep_prediction_1(base, rates)
     if fmt == "json":
+        # base's budget_rate is a placeholder: each run takes a rate of the sweep
+        accrual = asdict(base)
+        del accrual["budget_rate"]
         return {
-            "accrual": asdict(base),
+            "accrual": accrual,
             "sweep": [
                 {
                     "budget_rate_w": rate,

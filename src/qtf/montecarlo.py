@@ -194,6 +194,7 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     dist = config.distribution
     try:
         radii = dist.sample(config.seed, config.n_tracks)
+        ids = np.arange(1, config.n_tracks + 1)
     except DomainError:
         raise
     except (ValueError, MemoryError):
@@ -212,7 +213,7 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
         f"synthetic:{dist.describe()['kind']}:seed={config.seed}:n={config.n_tracks}"
     )
     return TrackDataset(
-        ids=np.arange(1, config.n_tracks + 1),
+        ids=ids,
         radii=radii,
         source_label=label,
         rows_read=config.n_tracks,

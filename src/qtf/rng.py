@@ -8,16 +8,21 @@ on.
 The scalar functions are the definition.  The ``*_range`` functions
 evaluate draws 0..n-1 in bulk and equal the scalar ones bit for bit:
 splitmix64 runs in uint64 numpy arithmetic, which wraps mod 2**64 just
-as the ``& _MASK64`` masks do.  ``log`` and ``exp`` go through the same
-libm calls as the scalar path, one ``math`` call per value, because
-numpy's own SIMD versions differ in the last ulp.  ``cos`` runs through
-numpy's float64 loop, which calls the C library's ``cos`` per element,
-the function ``math.cos`` calls; a test pins that equality.
+as the ``& _MASK64`` masks do.  A ``*_range`` function returns exactly
+``n`` values or raises ``ValueError``.  ``std_normal_range`` draws its
+``u1`` (even counters) and ``u2`` (odd counters) as two ``n``-long
+streams.  ``log`` and ``exp`` go through the same libm calls as the
+scalar path, one ``math`` call per value, because numpy's own SIMD
+versions differ in the last ulp; ``log`` is called through
+``starmap`` (see :func:`libm_log`).  ``cos`` runs through numpy's
+float64 loop, which calls the C library's ``cos`` per element, the
+function ``math.cos`` calls; a test pins that equality.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -62,9 +67,29 @@ def libm_map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=values.size)
 
 
-def raw64_range(seed: int, n: int) -> np.ndarray:
-    """``raw64(seed, c)`` for c in range(n), as a uint64 array."""
-    z = np.arange(1, n + 1, dtype=np.uint64)
+def libm_log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of every value of a 1-D array, as an array."""
+    # math.log takes its arguments as a tuple (METH_VARARGS), so map()
+    # would build a fresh one-element tuple per call; zip() hands starmap
+    # the same tuple again whenever the callee has let go of it.
+    return np.fromiter(
+        starmap(math.log, zip(memoryview(values))), dtype=np.float64, count=values.size
+    )
+
+
+def _counters(start: int, n: int, step: int) -> np.ndarray:
+    """The uint64 array start, start + step, ...: exactly ``n`` entries."""
+    z = np.arange(start, start + step * n, step, dtype=np.uint64)
+    # Past int64 numpy's length arithmetic can yield an empty range
+    # instead of refusing the size, so the length is checked here.
+    if z.size != n:
+        raise ValueError(f"cannot hold {n} draws in one array")
+    return z
+
+
+def _splitmix(seed: int, z: np.ndarray) -> np.ndarray:
+    """``raw64(seed, c)`` for every ``c + 1`` in the uint64 array ``z``,
+    computed in place."""
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK64)
     z ^= z >> np.uint64(30)
@@ -75,9 +100,19 @@ def raw64_range(seed: int, n: int) -> np.ndarray:
     return z
 
 
+def raw64_range(seed: int, n: int) -> np.ndarray:
+    """``raw64(seed, c)`` for c in range(n), as a uint64 array."""
+    return _splitmix(seed, _counters(1, n, 1))
+
+
 def _unit(raw: np.ndarray, offset: int) -> np.ndarray:
-    # raw >> 11 (+ 1) is at most 2**53, so the conversion is exact.
-    return ((raw >> np.uint64(11)) + np.uint64(offset)).astype(np.float64) * 2.0**-53
+    # Overwrites raw.  raw >> 11 (+ 1) is at most 2**53, so the
+    # conversion is exact.
+    raw >>= np.uint64(11)
+    raw += np.uint64(offset)
+    unit = raw.astype(np.float64)
+    unit *= 2.0**-53
+    return unit
 
 
 def unit_uniform_range(seed: int, n: int) -> np.ndarray:
@@ -87,8 +122,12 @@ def unit_uniform_range(seed: int, n: int) -> np.ndarray:
 
 def std_normal_range(seed: int, n: int) -> np.ndarray:
     """``std_normal(seed, i)`` for i in range(n)."""
-    raw = raw64_range(seed, 2 * n)
-    u1 = _unit(raw[0::2], 1)
-    u2 = _unit(raw[1::2], 0)
-    radius = np.sqrt(-2.0 * libm_map(math.log, u1))
-    return radius * np.cos((2.0 * math.pi) * u2)
+    u1 = _unit(_splitmix(seed, _counters(1, n, 2)), 1)  # counters 2i
+    u2 = _unit(_splitmix(seed, _counters(2, n, 2)), 0)  # counters 2i + 1
+    out = libm_log(u1)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    u2 *= 2.0 * math.pi
+    np.cos(u2, out=u2)
+    out *= u2
+    return out

@@ -212,9 +212,12 @@ def read_dataset(path: str | Path, unit: str = "mm") -> TrackDataset:
 def compute_stats(dataset: TrackDataset) -> TrackStats:
     """Median, mean, sigma, and the inclusive 1-sigma filter band.
 
-    Sigma is the population (divide-by-N) standard deviation.  Even-count
-    median is the mean of the two central order statistics.  Both filter
-    bounds are inclusive.
+    Sigma is the population (divide-by-N) standard deviation.  The
+    median is read from the sorted radii by index: the middle value, or
+    for an even count ``(a + b) / 2.0`` of the two middle values, which
+    is what ``np.median`` computes.  Both filter bounds are inclusive;
+    the band is the slice of the sorted radii between
+    ``searchsorted(low, "left")`` and ``searchsorted(high, "right")``.
 
     Values are sorted before any accumulation so every statistic is a
     pure function of the multiset: shuffling input rows cannot move a
@@ -235,21 +238,28 @@ def compute_stats(dataset: TrackDataset) -> TrackStats:
                 f"radius {name} overflows the float range"
                 f" (largest radius {float(radii[-1])!r} m)"
             )
-    mask = (radii >= low) & (radii <= high)
-    filtered = radii[mask]
+    middle = count // 2
+    if count % 2:
+        median = float(radii[middle])
+    else:
+        # the mean is finite, so the sum of two radii cannot overflow
+        median = (float(radii[middle - 1]) + float(radii[middle])) / 2.0
+    start = np.searchsorted(radii, low, "left")
+    stop = np.searchsorted(radii, high, "right")
+    filtered = radii[start:stop]
     # In exact arithmetic the inclusive band always holds at least one
     # value; edge rounding can empty it only when every candidate sits
     # on the boundary, and the band center is the degenerate-limit mean.
     filtered_mean = float(filtered.mean()) if filtered.size else mean
     return TrackStats(
         count=count,
-        median_radius=float(np.median(radii)),
+        median_radius=median,
         mean_radius=mean,
         sigma_radius=sigma,
         filter_low=low,
         filter_high=high,
-        filtered_count=int(mask.sum()),
-        filtered_fraction=float(mask.sum() / count),
+        filtered_count=filtered.size,
+        filtered_fraction=filtered.size / count,
         filtered_mean_radius=filtered_mean,
     )
 

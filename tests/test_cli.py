@@ -213,6 +213,19 @@ class TestSimulateCommand:
         assert times == sorted(times)
         assert doc["sweep"][-1]["collapsed"] is False
 
+    def test_sweep_json_reports_no_single_budget_rate(self, tmp_path):
+        sweep = json.loads(run_cli("simulate", write_config(tmp_path, SWEEP_CONFIG)).stdout)
+        # each run of a sweep takes its rate from budget_rates_w
+        assert sweep["accrual"] == {
+            "initial_budget": 10.0,
+            "cost_rate": 2.0,
+            "time_step": 0.01,
+            "max_time": 30.0,
+        }
+        path = write_config(tmp_path, ACCRUAL_CONFIG)
+        accrual = json.loads(run_cli("simulate", path).stdout)
+        assert accrual["accrual"]["budget_rate"] == ACCRUAL_CONFIG["budget_rate_w"]
+
     def test_sweep_csv(self, tmp_path):
         path = write_config(tmp_path, SWEEP_CONFIG)
         out = run_cli("simulate", path, "--format", "csv").stdout.decode()
@@ -562,6 +575,19 @@ class TestOverflowIsAConfigError:
         assert "RuntimeWarning" not in err
         [line] = err.splitlines()
         assert line.startswith("qtf: error: radius mean overflows the float range")
+
+    @pytest.mark.parametrize("n_tracks", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "distribution",
+        [CENSOR_CONFIG["distribution"], {"kind": "uniform", "lo_m": 1e-3, "hi_m": 2e-2}],
+        ids=["lognormal", "uniform"],
+    )
+    def test_too_many_tracks(self, tmp_path, capsys, n_tracks, distribution):
+        # numpy refuses these sizes before it allocates; past int64 its
+        # arange yields an empty range, which must not pass as n draws
+        config = {**CENSOR_CONFIG, "n_tracks": n_tracks, "distribution": distribution}
+        err = self.run_config(tmp_path, capsys, config)
+        assert err == f"qtf: error: n_tracks {n_tracks} is too large to draw in memory\n"
 
     def test_accrual_step_count_overflow(self, tmp_path, capsys):
         config = {**ACCRUAL_CONFIG, "max_time_s": 1e308, "time_step_s": 0.01}

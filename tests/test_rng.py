@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtf.rng import (
+    libm_log,
     libm_map,
     raw64,
     raw64_range,
@@ -110,12 +112,35 @@ def test_numpy_cos_is_the_c_library_cos():
         )
 
 
-@pytest.mark.parametrize("fn", [math.log, math.cos, math.exp])
-def test_libm_map_reads_strided_and_read_only_arrays(fn):
+@pytest.mark.parametrize(
+    "bulk, fn",
+    [
+        (partial(libm_map, math.log), math.log),
+        (partial(libm_map, math.cos), math.cos),
+        (partial(libm_map, math.exp), math.exp),
+        (libm_log, math.log),
+    ],
+    ids=["log", "cos", "exp", "libm_log"],
+)
+def test_libm_map_reads_strided_and_read_only_arrays(bulk, fn):
     base = unit_uniform_range(9, 1001) + 0.5
     read_only = base.copy()
     read_only.flags.writeable = False
     for values in (base, base[::3], base[::-2], read_only, read_only[1::2], base[:0]):
-        out = libm_map(fn, values)
+        out = bulk(values)
         assert out.dtype == np.float64
-        assert out.tolist() == libm_list(fn, values)
+        assert [struct.pack("<d", x) for x in out.tolist()] == [
+            struct.pack("<d", x) for x in libm_list(fn, values)
+        ]
+
+
+# Sizes numpy refuses before it allocates anything (from 2**63 - 1 on,
+# np.arange gives an empty range for them), and a negative one.
+HUGE_SIZES = [2**61, 2**62, 2**63 - 1, 2**63, 2**64 - 2, -1]
+
+
+@pytest.mark.parametrize("n", HUGE_SIZES)
+@pytest.mark.parametrize("bulk", [raw64_range, unit_uniform_range, std_normal_range])
+def test_bulk_draws_return_exactly_n_values_or_raise(bulk, n):
+    with pytest.raises(ValueError):
+        bulk(3, n)

@@ -152,6 +152,21 @@ def test_accrual_and_sweep_load_no_track_layer(tmp_path, config, fmt):
     ]
 
 
+@pytest.mark.parametrize("mode", ["analyze", "censor"])
+def test_track_runs_load_no_masked_arrays(tmp_path, mode):
+    # np.median imports numpy.ma to check for a masked argument;
+    # compute_stats reads the median from its sorted copy instead
+    if mode == "analyze":
+        argv = ["analyze", str(fixture_path())]
+    else:
+        distribution = {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3}
+        config = {"mode": "censor", "seed": 42, "n_tracks": 228, "distribution": distribution}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["simulate", str(path), "--format", "text"]
+    assert modules_loaded_by(argv, ("numpy.ma",)) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [["budget"], ["constants"], ["--version"], ["analyze", str(fixture_path())]],

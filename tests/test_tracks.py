@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtf.errors import DataError, DomainError
@@ -253,6 +253,61 @@ class TestStats:
         assert len(inside) == st_.filtered_count
         outside = [r for r in ds.radii if not (st_.filter_low <= r <= st_.filter_high)]
         assert len(inside) + len(outside) == st_.count
+
+
+def mask_stats(radii: np.ndarray) -> dict:
+    """Reference median and band of ``compute_stats``: ``np.median`` and
+    a boolean mask over the sorted radii."""
+    ordered = np.sort(radii)
+    mean = float(ordered.mean())
+    sigma = float(ordered.std())
+    mask = (ordered >= mean - sigma) & (ordered <= mean + sigma)
+    filtered = ordered[mask]
+    return {
+        "median": float(np.median(ordered)),
+        "filtered_count": int(mask.sum()),
+        "filtered_fraction": float(mask.sum() / ordered.size),
+        "filtered_mean": float(filtered.mean()) if filtered.size else mean,
+    }
+
+
+# Multiples of 2**-8 m: sums and means stay exact often enough that
+# ties and values sitting exactly on a band edge are common.
+DYADIC_RADII = st.lists(
+    st.integers(1, 6).map(lambda k: k * 2.0**-8), min_size=1, max_size=40
+)
+FREE_RADII = st.lists(st.floats(min_value=1e-4, max_value=0.05), min_size=1, max_size=300)
+
+
+class TestStatsOracle:
+    @given(st.one_of(DYADIC_RADII, FREE_RADII))
+    @example([0.25])
+    @example([0.25, 0.75])
+    @example([0.25, 0.25, 0.75, 0.75])
+    @example([0.25, 0.5, 0.5, 0.75])
+    @settings(deadline=None)
+    def test_median_and_band_equal_np_median_and_mask(self, values):
+        ds = TrackDataset(
+            ids=np.arange(1, len(values) + 1),
+            radii=values,
+            source_label="",
+            rows_read=len(values),
+            rows_dropped=0,
+        )
+        st_ = compute_stats(ds)
+        ref = mask_stats(ds.radii)
+        assert st_.median_radius == ref["median"]
+        assert st_.filtered_count == ref["filtered_count"]
+        assert st_.filtered_fraction == ref["filtered_fraction"]
+        assert st_.filtered_mean_radius == ref["filtered_mean"]
+
+    def test_values_on_both_band_edges_are_kept(self):
+        # mean 0.5 and sigma 0.25 are exact: two values sit on each edge
+        values = [0.25, 0.25, 0.75, 0.75]
+        st_ = compute_stats(make([repr(v) for v in values], unit="m"))
+        assert (st_.filter_low, st_.filter_high) == (0.25, 0.75)
+        assert st_.filtered_count == 4
+        assert st_.filtered_mean_radius == 0.5
 
 
 class TestSolvencyReport:
