@@ -75,9 +75,7 @@ _EXPORTS = {
         "TrackStats",
         "compute_stats",
         "emit_summary",
-        "load_fixture",
         "parse_dataset",
-        "read_dataset",
         "solvency_report",
     ),
 }

@@ -2,8 +2,11 @@
 
 Subcommands: ``constants``, ``analyze``, ``budget``, ``simulate``.
 Reports go to stdout (or ``--out``), diagnostics to stderr, so pipelines
-can consume JSON cleanly.  Exit codes: 0 success, 1 usage/config error,
-2 data error.
+can consume JSON cleanly.  Exit codes: 0 success, 1 usage/config error
+or a report that cannot be written, 2 data error.
+
+All of qtf's file I/O is here: ``_read_bytes`` reads every input file
+and ``main`` writes every report.
 
 Every report embeds a run manifest (tool version, subcommand, resolved
 configuration, content digest of the input, seed) and contains no
@@ -65,6 +68,15 @@ def _manifest(
     }
 
 
+def _read_bytes(path: Path, error: type[QtfError], name: str) -> bytes:
+    """The bytes of ``path``; a file that cannot be read raises ``error``
+    (a data error for a radius file, a config error for a config)."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+
+
 def _render(manifest: dict, body: dict | str) -> str:
     """A report: a JSON body under a ``manifest`` key, or a csv or text
     body after a ``# manifest:`` comment line."""
@@ -97,21 +109,15 @@ def cmd_constants(args: argparse.Namespace) -> tuple[dict, dict | str]:
     lines = []
     for tier in ("physical", "paper"):
         for name, value in snapshot[tier].items():
-            lines.append(f"{tier + '.' + name:<28}{value!r}")
+            lines.append(f"{tier + '.' + name:<27} {value!r}")
     return manifest, "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict | str]:
-    from .tracks import (
-        emit_summary,
-        parse_dataset,
-        read_input,
-        report_to_dict,
-        solvency_report,
-    )
+    from .tracks import emit_summary, parse_dataset, report_to_dict, solvency_report
 
     path = Path(args.path)
-    raw = read_input(path)
+    raw = _read_bytes(path, DataError, str(path))
     dataset = parse_dataset(raw, unit=args.unit, source_label=str(path))
     report = solvency_report(
         dataset, momentum_source=args.momentum, floor_n=args.floor
@@ -315,9 +321,10 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
         distribution=_parse_distribution(config["distribution"]),
         **options,
     )
+    # Checked before any track is drawn.
+    momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
     dataset = generate_tracks(sim)
     if mode == "censor":
-        momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
         censored = censor_at_floor(dataset, sim.floor_n, momentum)
         if not len(censored):
             raise DataError(
@@ -409,10 +416,7 @@ def _simulate_sweep(config: dict, fmt: str) -> dict | str:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
     path = Path(args.config)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    raw = _read_bytes(path, DomainError, f"config {path}")
     try:
         config = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except DomainError:
@@ -520,14 +524,16 @@ def main(argv: list[str] | None = None) -> int:
     except QtfError as exc:
         print(f"qtf: error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(report, encoding="utf-8")
-        except OSError as exc:
-            print(f"qtf: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(report)
+        else:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+    except OSError as exc:
+        target = args.out or "standard output"
+        print(f"qtf: error: cannot write {target}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -538,9 +544,20 @@ def run() -> None:
     The objects built by the imports live until the process exits, so
     they are frozen out of the garbage collector first: no collection,
     including the ones at interpreter shutdown, walks them again.
+
+    A report that ``main`` could not write to stdout stays in its
+    buffer; fd 1 is then pointed at the null device, so that the flush
+    at shutdown cannot fail again and turn exit 1 into 120.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

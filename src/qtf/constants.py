@@ -19,7 +19,6 @@ so the transcription itself is auditable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -85,11 +84,3 @@ def sci(x: float, sig: int = 3) -> str:
     """Compact scientific notation: 2.0619e13 -> '2.06e13'."""
     mant, exp = f"{x:.{sig - 1}e}".split("e")
     return f"{mant}e{int(exp)}"
-
-
-def load_snapshot_file() -> dict:
-    """Load the checked-in ``constants.json`` audit snapshot."""
-    from importlib import resources
-
-    text = resources.files("qtf.data").joinpath("constants.json").read_text("utf-8")
-    return json.loads(text)

@@ -1,10 +1,12 @@
-"""Track-radius pipeline: ingest, clean, aggregate, index, report.
+"""Track-radius pipeline: parse, clean, aggregate, index, report.
 
 The pipeline reproduces the published arithmetic end to end: parse
 tabulated radii (one per row), compute median / mean / population sigma,
 apply the inclusive 1-sigma filter, compute per-track solvency indices
 n = r*p/hbar, detect the empirical action floor, and render a summary
-as a JSON-ready dict, CSV, or aligned text.
+as a JSON-ready dict, CSV, or aligned text.  The module reads no file:
+it parses bytes or text that the caller has read, as in
+``parse_dataset(Path(p).read_bytes(), source_label=p)``.
 
 The original measurement dataset is not redistributable, so the package
 ships a deterministic 228-row synthetic fixture whose headline
@@ -138,15 +140,15 @@ def parse_dataset(
 ) -> TrackDataset:
     """Parse delimited text with one radius per row into a dataset.
 
-    Lines starting with ``#`` are ignored outright.  A row is numeric
-    when it is an ASCII decimal number (``12``, ``-1.5``, ``.5``,
-    ``7.42e-3``) or a spelling of nan or inf; digit-group underscores
-    and non-ASCII digits make a row non-numeric.  A non-numeric first
-    row is treated as a header.  Every other row is counted: blank,
-    non-numeric, non-finite, and non-positive rows are dropped (never
-    aborting the parse); valid rows become tracks in input order,
-    converted to meters.  Undecodable bytes or zero valid rows are hard
-    errors.
+    A leading byte-order mark is ignored.  Lines starting with ``#``
+    are ignored outright.  A row is numeric when it is an ASCII decimal
+    number (``12``, ``-1.5``, ``.5``, ``7.42e-3``) or a spelling of nan
+    or inf; digit-group underscores and non-ASCII digits make a row
+    non-numeric.  A non-numeric first row is treated as a header.  Every
+    other row is counted: blank, non-numeric, non-finite, and
+    non-positive rows are dropped (never aborting the parse); valid rows
+    become tracks in input order, converted to meters.  Undecodable
+    bytes or zero valid rows are hard errors.
     """
     if unit not in ("mm", "m"):
         raise DomainError(f"unit must be 'mm' or 'm', got {unit!r}")
@@ -155,6 +157,7 @@ def parse_dataset(
             content = content.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not decodable as UTF-8: {exc}") from exc
+    content = content.removeprefix("\ufeff")
 
     scale = 1e3 if unit == "mm" else 1.0
     values: list[float] = []
@@ -193,20 +196,6 @@ def parse_dataset(
         rows_read=rows_read,
         rows_dropped=rows_dropped,
     )
-
-
-def read_input(path: str | Path) -> bytes:
-    """The bytes of an input file; an unreadable file is a data error."""
-    path = Path(path)
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_dataset(path: str | Path, unit: str = "mm") -> TrackDataset:
-    """Read and parse a radius file; missing files are data errors."""
-    return parse_dataset(read_input(path), unit=unit, source_label=str(Path(path)))
 
 
 def compute_stats(dataset: TrackDataset) -> TrackStats:
@@ -272,6 +261,7 @@ def resolve_momentum(
 
     ``paper`` uses the stated momentum constant; ``derived`` computes
     sqrt(2*m*E) from the particle spec (stated alpha values by default).
+    A particle given with ``paper`` would go unused, so it is an error.
     """
     try:
         canonical = _MOMENTUM_ALIASES[momentum_source]
@@ -282,6 +272,11 @@ def resolve_momentum(
         ) from None
     paper = get_paper_values()
     if canonical == MOMENTUM_PAPER:
+        if particle is not None:
+            raise DomainError(
+                "particle is used only by the derived momentum route,"
+                f" but momentum_source is {momentum_source!r}"
+            )
         return paper.momentum, canonical
     particle = particle or ParticleSpec(paper.alpha_mass, paper.alpha_energy)
     return momentum_from_energy(particle), canonical
@@ -399,9 +394,9 @@ def emit_summary(report: SolvencyReport, format: str) -> str:
             f" ({report.momentum_source})",
             "",
             f"{'statistic':<15}{'radius_mm':<12}n",
-            f"{'median':<15}{st.median_radius * 1e3:<12.6g}{sci(report.n_median)}",
-            f"{'filtered_mean':<15}{st.filtered_mean_radius * 1e3:<12.6g}"
-            f"{sci(report.n_filtered_mean)}",
+            f"{'median':<15}{st.median_radius * 1e3:<11.6g} {sci(report.n_median)}",
+            f"{'filtered_mean':<15}{st.filtered_mean_radius * 1e3:<11.6g}"
+            f" {sci(report.n_filtered_mean)}",
             "",
             f"band [{st.filter_low * 1e3:.6g}, {st.filter_high * 1e3:.6g}] mm:"
             f" {st.filtered_count}/{st.count} retained"
@@ -479,16 +474,6 @@ def fixture_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_fixture() -> TrackDataset:
-    """Parse the packaged synthetic fixture."""
-    from importlib import resources
-
-    text = resources.files("qtf.data").joinpath(FIXTURE_NAME).read_text("utf-8")
-    return parse_dataset(text, unit="mm", source_label=f"packaged:{FIXTURE_NAME}")
-
-
 def fixture_path() -> Path:
-    """Filesystem path of the packaged fixture (source installs)."""
-    from importlib import resources
-
-    return Path(str(resources.files("qtf.data").joinpath(FIXTURE_NAME)))
+    """Filesystem path of the packaged fixture."""
+    return Path(__file__).parent / "data" / FIXTURE_NAME

@@ -18,9 +18,12 @@ def run_cli(
     env_extra: dict[str, str] | None = None,
     cwd: str | Path | None = None,
     timeout: float | None = None,
+    stdout=subprocess.PIPE,
 ) -> subprocess.CompletedProcess:
     """Run the CLI black-box in a subprocess, source tree on the path;
-    past ``timeout`` seconds it is killed and ``TimeoutExpired`` raised."""
+    past ``timeout`` seconds it is killed and ``TimeoutExpired`` raised.
+    Its stdout goes to ``stdout`` (captured by default), its stderr is
+    captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("QTF_SEED", None)
@@ -28,7 +31,8 @@ def run_cli(
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "qtf", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
         cwd=cwd,
         timeout=timeout,

@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import qtf.cli
 import qtf.tracks
 from conftest import run_cli
 from qtf.constants import get_paper_values
-from qtf.errors import DataError, DomainError
+from qtf.errors import DomainError
 from qtf.solvency import action_index
-from qtf.tracks import fixture_path, read_dataset
+from qtf.tracks import FIXTURE_NAME, fixture_path
 
 FIXTURE = str(fixture_path())
 
@@ -113,6 +115,12 @@ class TestConstantsCommand:
         assert "1.055e-34" in out
         assert "1.0545718176461565e-34" in out
 
+    def test_text_name_that_fills_its_column_keeps_a_space(self, capsys):
+        assert qtf.cli.main(["constants", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "physical.default_temperature 300.0" in lines
+        assert "physical.k_b                1.380649e-23" in lines
+
     def test_repeated_runs_identical(self):
         assert run_cli("constants").stdout == run_cli("constants").stdout
 
@@ -165,6 +173,27 @@ class TestAnalyzeCommand:
         doc = json.loads(run_cli("analyze", FIXTURE, "--floor", "1e20").stdout)
         assert doc["solvency"]["floor_satisfied"] is False
         assert doc["solvency"]["floor_n"] == 1e20
+
+    def test_radius_that_fills_its_column_keeps_a_space(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("1e-320\n", encoding="utf-8")
+        assert qtf.cli.main(["analyze", str(path), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "median         9.88131e-321 0.00e0" in lines
+        assert "filtered_mean  9.88131e-321 0.00e0" in lines
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with one
+        bodies = []
+        for name, raw in (("plain", b"5\n6\n"), ("bom", b"\xef\xbb\xbf5\n6\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(raw)
+            assert qtf.cli.main(["analyze", str(path), "--format", "text"]) == 0
+            manifest, body = capsys.readouterr().out.split("\n", 1)
+            assert hashlib.sha256(raw).hexdigest() in manifest
+            bodies.append(body)
+        assert bodies[1] == bodies[0]
+        assert bodies[1].startswith("tracks: 2 read, 0 dropped, 2 analyzed\n")
 
 
 class TestBudgetCommand:
@@ -271,6 +300,25 @@ class TestSimulateCommand:
         path = write_config(tmp_path, CENSOR_CONFIG)
         proc = run_cli("simulate", path, env_extra={"QTF_SEED": "not-a-number"})
         assert proc.returncode == 1
+
+    def test_particle_without_the_derived_route_is_config_error(self, tmp_path):
+        config = {**CENSOR_CONFIG, "mode": "tracks", "particle": PARTICLE}
+        for momentum in ({}, {"momentum_source": "paper"}):
+            proc = run_cli("simulate", write_config(tmp_path, {**config, **momentum}))
+            assert proc.returncode == 1, momentum
+            assert proc.stderr.decode().splitlines() == [
+                "qtf: error: particle is used only by the derived momentum route,"
+                " but momentum_source is 'paper'"
+            ]
+            assert not proc.stdout
+
+    def test_null_particle_is_no_particle(self, tmp_path):
+        bodies = []
+        for config in (CENSOR_CONFIG, {**CENSOR_CONFIG, "particle": None}):
+            proc = run_cli("simulate", write_config(tmp_path, config), "--format", "csv")
+            assert proc.returncode == 0
+            bodies.append(proc.stdout.split(b"\n", 1)[1])
+        assert bodies[1] == bodies[0]
 
     def test_tracks_mode_with_custom_particle(self, tmp_path):
         path = write_config(
@@ -464,6 +512,33 @@ class TestMainBoundary:
         assert captured.err.startswith(f"qtf: error: cannot write {out}")
         assert not captured.out
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize(
+        "argv", [["constants"], ["analyze", FIXTURE, "--format", "csv"]], ids=["constants", "analyze"]
+    )
+    def test_failed_stdout_write_is_config_error(self, monkeypatch, unbuffered, target, argv):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        if target == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = open("/dev/full", "wb")
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # no reader: every write fails with EPIPE
+            stdout = os.fdopen(write_end, "wb")
+        with stdout:
+            proc = run_cli(
+                *argv,
+                env_extra={"PYTHONUNBUFFERED": "1"} if unbuffered else None,
+                stdout=stdout,
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        # neither a traceback nor "Exception ignored" from the exit flush
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("qtf: error: cannot write standard output: [Errno ")
+
 
 class TestOneSourcePerDefault:
     def test_analyze_floor_default_is_the_paper_floor(self):
@@ -528,6 +603,50 @@ def test_simulate_report_bytes_are_golden(tmp_path, dist, mode, fmt):
     out = tmp_path / "report"
     assert qtf.cli.main(["simulate", str(config), "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[dist, mode, fmt]
+
+
+# SHA-256 of the reports of the other subcommands, recorded before file
+# reading and report writing moved into one reader and one writer in
+# qtf.cli.  The constants text report is the one that changed since: its
+# physical.default_temperature line gained the space its value lacked.
+REPORT_ARGV = {
+    "analyze": ["analyze", FIXTURE_NAME],
+    "constants": ["constants"],
+    "budget": ["budget"],
+    "budget-310K": ["budget", "--temperature", "310"],
+    "accrual": ["simulate", "accrual.json"],
+    "sweep": ["simulate", "sweep.json"],
+}
+REPORT_SHA256 = {
+    ("analyze", "json"): "d6cb208b6140881daa2943eaafa952eb5e533befa80bbb8b4fcc7a15be4b06db",
+    ("analyze", "csv"): "7dcc184402f9f444721483af59415f9c2c2257743ddba1522b27cc27a5ac418f",
+    ("analyze", "text"): "e09dfd0d5b613496161cab3a719fc08beed59c5031db03b88b0262ed6d79b218",
+    ("constants", "json"): "4e5d731ca431bf55739a065c7ac40454afa6a49362f381b89243e9a885e9cd7e",
+    ("constants", "text"): "6a96772bfeae59b72c847cfc12140d10ea62af51a6282941c60187fe8d7d1f2a",
+    ("budget", "json"): "1a9f567f4113bd29334252498e607400c66e6b17f02e8f905708f2fe82c17def",
+    ("budget", "text"): "1be2b9dd65c080da83c9d4560bbff9e92ab96727ab8ca40673ae726128b2474c",
+    ("budget-310K", "json"): "d7cc7e4f5c0ff9608c0bc0735769820f6b4e0b5fe5a8f6dd079a4d5c511f8245",
+    ("budget-310K", "text"): "5139555cb9ccd8d8f3253e3c971ee6fc6b26174d6bbb246beef2b8b87bf82cbc",
+    ("accrual", "json"): "b6aac824d21b2b158bf9609c7778f082f4e7217c806ba7b8b1540007e4848674",
+    ("accrual", "text"): "16c729635d80aeecd6dd244a39aba2eec1d120c552647d1a45edbc1277e9b5c2",
+    ("sweep", "json"): "c2409ed075e130215eebbbc343307384d2b3e730c3ad572053042cf272e531fa",
+    ("sweep", "csv"): "b269f4a0994a2a4dfd10ae7a4460cf2eb669a3c5b296ac2bd9e2f67e628eb2bf",
+    ("sweep", "text"): "b192d60b8ca68d5816b62505601ba1ca0571c2ff57c32c99d5a4d84625017650",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(REPORT_SHA256))
+def test_report_bytes_are_golden(tmp_path, monkeypatch, name, fmt):
+    # inputs are named relative to the working directory, so that no
+    # manifest holds a machine path
+    shutil.copy(fixture_path(), tmp_path / FIXTURE_NAME)
+    for config in (ACCRUAL_CONFIG, SWEEP_CONFIG):
+        path = tmp_path / f"{config['mode']}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = [*REPORT_ARGV[name], "--format", fmt, "--out", "report"]
+    assert qtf.cli.main(argv) == 0
+    assert hashlib.sha256(Path("report").read_bytes()).hexdigest() == REPORT_SHA256[name, fmt]
 
 
 class TestOverflowIsAConfigError:
@@ -662,18 +781,33 @@ class TestNothingReadSilently:
         line = self.run_config_text(tmp_path, text)
         assert line == f"qtf: error: config has repeated key {key!r}"
 
+    def test_byte_order_mark(self, tmp_path):
+        # a radius file may start with one, a config may not
+        line = self.run_config_text(tmp_path, "\ufeff" + json.dumps(ACCRUAL_CONFIG))
+        assert line.startswith("qtf: error: config ")
+        assert "is not valid JSON: Unexpected UTF-8 BOM" in line
+
 
 class TestOneFileReader:
-    @pytest.mark.parametrize("missing", [False, True])
-    def test_analyze_reports_the_read_error_of_read_dataset(
-        self, tmp_path, capsys, missing
+    @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
+    @pytest.mark.parametrize(
+        "subcommand, code, prefix",
+        [
+            ("analyze", 2, "qtf: data error: cannot read "),
+            ("simulate", 1, "qtf: error: cannot read config "),
+        ],
+        ids=["analyze", "simulate"],
+    )
+    def test_unreadable_input_keeps_the_exit_code_of_its_subcommand(
+        self, tmp_path, capsys, missing, subcommand, code, prefix
     ):
-        path = tmp_path / "absent.csv" if missing else tmp_path
-        with pytest.raises(DataError) as exc:
-            read_dataset(path)
-        assert str(exc.value).startswith(f"cannot read {path}: ")
-        assert qtf.cli.main(["analyze", str(path)]) == 2
-        assert capsys.readouterr().err == f"qtf: data error: {exc.value}\n"
+        path = tmp_path / "absent" if missing else tmp_path
+        with pytest.raises(OSError) as exc:
+            path.read_bytes()
+        assert qtf.cli.main([subcommand, str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}{path}: {exc.value}\n"
+        assert not captured.out
 
 
 class TestProcessEntryPoint:

@@ -1,14 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from qtf.constants import (
-    PhysConsts,
-    constants_snapshot,
-    get_consts,
-    get_paper_values,
-    load_snapshot_file,
-)
+import qtf
+from qtf.constants import PhysConsts, constants_snapshot, get_consts, get_paper_values
 
 
 def test_hbar_is_h_over_two_pi():
@@ -67,7 +64,8 @@ def test_paper_values_transcription():
 
 def test_snapshot_file_matches_runtime_values():
     # transcription audit: the checked-in JSON is the source of truth
-    assert load_snapshot_file() == constants_snapshot()
+    snapshot = Path(qtf.__file__).parent / "data" / "constants.json"
+    assert json.loads(snapshot.read_text("utf-8")) == constants_snapshot()
 
 
 def test_stated_momentum_disagrees_with_derived_momentum():

@@ -172,9 +172,21 @@ def test_track_runs_load_no_masked_arrays(tmp_path, mode):
     [["budget"], ["constants"], ["--version"], ["analyze", str(fixture_path())]],
     ids=["budget", "constants", "version", "analyze"],
 )
-def test_importlib_resources_loads_only_to_read_a_data_file(argv):
-    # no subcommand reads a packaged data file, so none imports it
+def test_no_subcommand_loads_importlib_resources(argv):
+    # qtf finds its data files next to its modules
     assert modules_loaded_by(argv, ("importlib.resources",), no_site=True) == []
+
+
+def test_fixture_path_loads_no_importlib_resources():
+    loaded = run_python(
+        "import json, sys\n"
+        "from qtf.tracks import fixture_path\n"
+        "assert fixture_path().is_file()\n"
+        "print(json.dumps('importlib.resources' in sys.modules))\n",
+        "-S",
+        path=[str(SRC), str(Path(np.__file__).parents[1])],
+    )
+    assert loaded is False
 
 
 def test_public_names_load_on_first_access():

@@ -13,10 +13,9 @@ from qtf.tracks import (
     TrackRecord,
     compute_stats,
     emit_summary,
+    fixture_path,
     fixture_text,
-    load_fixture,
     parse_dataset,
-    read_dataset,
     report_to_dict,
     sci,
     solvency_report,
@@ -25,6 +24,10 @@ from qtf.tracks import (
 
 # Frozen hand oracle: population sigma of [1, 2, 3] is sqrt(2/3).
 SIGMA_1_2_3 = 0.8164965809277260
+
+
+def load_fixture():
+    return parse_dataset(fixture_path().read_bytes(), source_label="fixture")
 
 
 def make(rows, unit="mm"):
@@ -123,16 +126,16 @@ class TestParse:
         with pytest.raises(DomainError):
             parse_dataset("5.0", unit="cm")
 
-    def test_read_dataset_from_path(self, tmp_path):
-        path = tmp_path / "radii.csv"
-        path.write_text("radius_mm\n5.0\n6.0\n", encoding="utf-8")
-        ds = read_dataset(path)
-        assert len(ds.records) == 2
-        assert ds.source_label == str(path)
-
-    def test_read_dataset_missing_file(self):
-        with pytest.raises(DataError):
-            read_dataset("/nonexistent/radii.csv")
+    def test_byte_order_mark_is_ignored(self):
+        # a BOM before a number must not turn that row into a header
+        ds = parse_dataset(b"\xef\xbb\xbf5\n6\n")
+        assert (ds.rows_read, len(ds)) == (2, 2)
+        assert parse_dataset("\ufeff5\n6\n") == ds
+        with_bom = parse_dataset(b"\xef\xbb\xbfradius_mm\n5\n6\n")
+        without = parse_dataset(b"radius_mm\n5\n6\n")
+        assert report_to_dict(solvency_report(with_bom)) == report_to_dict(
+            solvency_report(without)
+        )
 
     @given(
         st.lists(
@@ -337,6 +340,16 @@ class TestSolvencyReport:
         )
         assert report.momentum_used == 2.0
 
+    @pytest.mark.parametrize("route", ["paper", "paper-stated"])
+    def test_particle_with_the_paper_route_is_rejected(self, route):
+        # the stated momentum never reads the particle
+        with pytest.raises(DomainError, match="particle is used only by the derived"):
+            solvency_report(
+                make(["6.67"]),
+                particle=ParticleSpec(mass=2.0, kinetic_energy=1.0),
+                momentum_source=route,
+            )
+
     def test_floor_detection(self):
         ds = make(["6.67"])
         assert solvency_report(ds, floor_n=1e12).floor_satisfied is True
@@ -399,10 +412,7 @@ def test_sci_formatting():
 
 class TestFixture:
     def test_builder_matches_packaged_csv(self):
-        from importlib import resources
-
-        packaged = resources.files("qtf.data").joinpath("synthetic_tracks_228.csv")
-        assert packaged.read_text("utf-8") == fixture_text()
+        assert fixture_path().read_text("utf-8") == fixture_text()
 
     def test_construction_targets(self):
         values = synthetic_radii_mm()
