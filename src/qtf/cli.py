@@ -88,11 +88,21 @@ def _render(manifest: dict, body: dict | str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract wants 1."""
+    """argparse exits 2 on usage errors; the contract wants 1.
+
+    argparse also drops an ``OSError`` from writing ``--help`` or
+    ``--version``; here it reaches ``main``, which exits 1 on it.
+    """
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +525,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except OSError as exc:
+        print(f"qtf: error: cannot write standard output: {exc}", file=sys.stderr)
+        return 1
     try:
         report = _render(*args.func(args))
     except DataError as exc:

@@ -6,9 +6,8 @@ Two experiment families:
   configured radius distribution, then remove every track whose
   solvency index falls below a floor, modeling the all-or-nothing
   rendering rule.  Generation is counter-based (see :mod:`qtf.rng`):
-  track i of a run depends only on (seed, i), and a whole population is
-  drawn in one vectorized pass that equals the per-index definition bit
-  for bit.
+  track i of a run depends only on (seed, i), and a population is drawn
+  in vectorized blocks that equal the per-index definition bit for bit.
 * budget accrual -- discrete-time insolvency: cost and available work
   both grow linearly and collapse fires at the first step where
   cumulative cost strictly exceeds the available budget.  The closed
@@ -49,16 +48,37 @@ class Lognormal:
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def sample(self, seed: int, n: int) -> np.ndarray:
-        """Draws 0..n-1: draw i is exp(mu + sigma * std_normal(seed, i))."""
-        from .rng import libm_map, std_normal_range
+        """Draws 0..n-1: draw i is exp(mu + sigma * std_normal(seed, i)).
 
-        exponents = self.mu + self.sigma * std_normal_range(seed, n)
-        try:
-            return libm_map(math.exp, exponents)
-        except OverflowError:
-            raise DomainError(
-                f"lognormal draw overflows: exp({float(exponents.max())!r})"
-            ) from None
+        The draws are made ``DRAW_BLOCK`` at a time into one output
+        array, so besides it only block-sized temporaries are held.
+        """
+        from .rng import DRAW_BLOCK, libm_map
+
+        out = np.empty(n)
+        for start in range(0, n, DRAW_BLOCK):
+            exponents = self._exponents(seed, start, min(DRAW_BLOCK, n - start))
+            try:
+                out[start : start + exponents.size] = libm_map(math.exp, exponents)
+            except OverflowError:
+                # named by the largest exponent of the whole run
+                largest = max(
+                    float(self._exponents(seed, i, min(DRAW_BLOCK, n - i)).max())
+                    for i in range(start, n, DRAW_BLOCK)
+                )
+                raise DomainError(f"lognormal draw overflows: exp({largest!r})") from None
+        return out
+
+    def _exponents(self, seed: int, start: int, size: int) -> np.ndarray:
+        """mu + sigma * std_normal(seed, i) for i in range(start, start +
+        size); one past the float range is inf, without a warning."""
+        from .rng import std_normal_range
+
+        exponents = std_normal_range(seed, size, start)
+        with np.errstate(over="ignore"):
+            exponents *= self.sigma
+            exponents += self.mu
+        return exponents
 
     def describe(self) -> dict:
         return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
@@ -81,7 +101,10 @@ class Uniform:
         """Draws 0..n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i)."""
         from .rng import unit_uniform_range
 
-        return self.lo + (self.hi - self.lo) * unit_uniform_range(seed, n)
+        draws = unit_uniform_range(seed, n)
+        draws *= self.hi - self.lo
+        draws += self.lo
+        return draws
 
     def describe(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -202,13 +225,15 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
         raise DomainError(
             f"n_tracks {config.n_tracks} is too large to draw in memory"
         ) from None
-    bad = ~(np.isfinite(radii) & (radii > 0))
-    if bad.any():
-        index = int(bad.argmax())
+    if not (radii.min() > 0 and radii.max() < math.inf):
+        index = int((~(np.isfinite(radii) & (radii > 0))).argmax())
         raise DomainError(
             f"distribution produced radius {float(radii[index])} at {index};"
             " radii must be finite and > 0"
         )
+    # handed over: the dataset adopts read-only columns it alone owns
+    ids.flags.writeable = False
+    radii.flags.writeable = False
     label = (
         f"synthetic:{dist.describe()['kind']}:seed={config.seed}:n={config.n_tracks}"
     )
@@ -238,9 +263,13 @@ def censor_at_floor(
     if not (math.isfinite(floor_n) and floor_n >= 0):
         raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
     keep = n_real_values(dataset.radii, momentum) >= floor_n
+    ids = dataset.ids[keep]
+    radii = dataset.radii[keep]
+    ids.flags.writeable = False
+    radii.flags.writeable = False
     return TrackDataset(
-        ids=dataset.ids[keep],
-        radii=dataset.radii[keep],
+        ids=ids,
+        radii=radii,
         source_label=f"{dataset.source_label}|floor={floor_n!r}",
         rows_read=len(dataset),
         rows_dropped=len(dataset) - int(keep.sum()),

@@ -11,9 +11,13 @@ splitmix64 runs in uint64 numpy arithmetic, which wraps mod 2**64 just
 as the ``& _MASK64`` masks do.  A ``*_range`` function returns exactly
 ``n`` values or raises ``ValueError``.  ``std_normal_range`` draws its
 ``u1`` (even counters) and ``u2`` (odd counters) as two ``n``-long
-streams.  ``log`` and ``exp`` go through the same libm calls as the
-scalar path, one ``math`` call per value, because numpy's own SIMD
-versions differ in the last ulp; ``log`` is called through
+streams.  Its ``start`` offset gives draws start..start+n-1, so a
+caller can evaluate a long run in blocks of ``DRAW_BLOCK`` draws, as
+``Lognormal.sample`` does, and hold a few block-sized temporaries
+instead of several run-sized ones; the block a draw lands in does not
+change its value.  ``log`` and ``exp`` go through the same libm calls
+as the scalar path, one ``math`` call per value, because numpy's own
+SIMD versions differ in the last ulp; ``log`` is called through
 ``starmap`` (see :func:`libm_log`).  ``cos`` runs through numpy's
 float64 loop, which calls the C library's ``cos`` per element, the
 function ``math.cos`` calls; a test pins that equality.
@@ -31,6 +35,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Draws per block of a blocked bulk evaluation: 64 KiB of float64.
+DRAW_BLOCK = 8192
 
 
 def _mix64(z: int) -> int:
@@ -120,10 +127,11 @@ def unit_uniform_range(seed: int, n: int) -> np.ndarray:
     return _unit(raw64_range(seed, n), 0)
 
 
-def std_normal_range(seed: int, n: int) -> np.ndarray:
-    """``std_normal(seed, i)`` for i in range(n)."""
-    u1 = _unit(_splitmix(seed, _counters(1, n, 2)), 1)  # counters 2i
-    u2 = _unit(_splitmix(seed, _counters(2, n, 2)), 0)  # counters 2i + 1
+def std_normal_range(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """``std_normal(seed, i)`` for i in range(start, start + n)."""
+    first = 2 * start + 1  # _counters holds counter + 1
+    u1 = _unit(_splitmix(seed, _counters(first, n, 2)), 1)  # counters 2i
+    u2 = _unit(_splitmix(seed, _counters(first + 1, n, 2)), 0)  # counters 2i + 1
     out = libm_log(u1)
     out *= -2.0
     np.sqrt(out, out=out)

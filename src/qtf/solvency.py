@@ -88,4 +88,6 @@ def n_real_values(radii, momentum: float):
     if not (math.isfinite(momentum) and momentum >= 0):
         raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
     with np.errstate(over="ignore"):
-        return radii * momentum / _CONSTS.hbar
+        n = radii * momentum
+        n /= _CONSTS.hbar  # in place: the same two roundings
+    return n

@@ -47,6 +47,16 @@ class TrackRecord:
 
 
 def _read_only(values, dtype: type) -> np.ndarray:
+    """``values`` as is when it is a read-only ndarray of ``dtype`` that
+    owns its data, which no other array can write to; otherwise a
+    read-only copy."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
@@ -58,7 +68,10 @@ class TrackDataset:
 
     The tracks are held as two read-only columns of equal length:
     ``ids`` (int64 ordinals) and ``radii`` (float64, meters).  The
-    constructor copies both.
+    constructor adopts a column given as a read-only ndarray of that
+    dtype which owns its data (``base is None``), as the producers in
+    qtf hand over the columns they have just built; it copies any other
+    column, so one the caller can still write is never shared.
     """
 
     ids: np.ndarray
@@ -189,9 +202,14 @@ def parse_dataset(
 
     if not values:
         raise DataError(f"no valid radius rows in input ({source_label or 'text'})")
+    ids = np.arange(1, len(values) + 1)
+    radii = np.array(values)
+    radii /= scale
+    ids.flags.writeable = False
+    radii.flags.writeable = False
     return TrackDataset(
-        ids=np.arange(1, len(values) + 1),
-        radii=np.array(values) / scale,
+        ids=ids,
+        radii=radii,
         source_label=source_label,
         rows_read=rows_read,
         rows_dropped=rows_dropped,

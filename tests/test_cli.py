@@ -539,6 +539,25 @@ class TestMainBoundary:
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith("qtf: error: cannot write standard output: [Errno ")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_failed_version_or_help_write_is_config_error(self, monkeypatch, unbuffered, flag):
+        # argparse itself would drop the OSError: exit 0 with nothing
+        # written, or "Exception ignored" and exit 120 from the exit flush
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with open("/dev/full", "wb") as stdout:
+            proc = run_cli(
+                flag,
+                env_extra={"PYTHONUNBUFFERED": "1"} if unbuffered else None,
+                stdout=stdout,
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("qtf: error: cannot write standard output: [Errno ")
+
 
 class TestOneSourcePerDefault:
     def test_analyze_floor_default_is_the_paper_floor(self):
@@ -669,6 +688,21 @@ class TestOverflowIsAConfigError:
         assert "r*p/hbar is not finite" in err
         with pytest.raises(DomainError, match="not finite"):
             action_index(1e308, get_paper_values().momentum)
+
+    def test_lognormal_exponent_overflow_is_one_line(self, tmp_path):
+        # mu + sigma * z leaves the float range: numpy must not warn
+        big = 1.7976931348623157e308
+        config = {
+            **CENSOR_CONFIG,
+            "mode": "tracks",
+            "distribution": {"kind": "lognormal", "mu": big, "sigma": big},
+        }
+        proc = run_cli("simulate", write_config(tmp_path, config), timeout=60)
+        assert proc.returncode == 1
+        assert not proc.stdout
+        assert proc.stderr.decode().splitlines() == [
+            "qtf: error: lognormal draw overflows: exp(inf)"
+        ]
 
     def test_lognormal_moment_ratio_overflow(self, tmp_path, capsys):
         config = {

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from qtf.montecarlo import (
     run_accrual,
     sweep_prediction_1,
 )
-from qtf.rng import std_normal, unit_uniform
+from qtf.rng import DRAW_BLOCK, std_normal, unit_uniform
 from qtf.solvency import action_index
 from qtf.tracks import parse_dataset
 
@@ -105,6 +107,27 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate_tracks(config(dist=Lognormal(mu=800.0, sigma=1.0), n=5))
 
+    def test_exponents_past_the_float_range_raise_without_a_warning(self):
+        # mu + sigma * z is +-inf for most draws; the error names the
+        # largest exponent and numpy warns of no overflow on the way
+        big = 1.7976931348623157e308
+        with pytest.raises(DomainError, match=r"^lognormal draw overflows: exp\(inf\)$"):
+            Lognormal(mu=big, sigma=big).sample(1, 20)
+
+    def test_overflow_in_a_later_block_names_the_largest_exponent_of_the_run(self):
+        # block 0 stays in range, block 1 is the first to overflow and
+        # block 2 holds the largest draw of the run
+        seed, n = 9, 3 * DRAW_BLOCK
+        z = [std_normal(seed, i) for i in range(n)]
+        top = [max(z[k * DRAW_BLOCK : (k + 1) * DRAW_BLOCK]) for k in range(3)]
+        assert top[0] < top[1] < top[2]
+        mu = math.log(np.finfo(np.float64).max) - (top[0] + top[1]) / 2.0
+        with pytest.raises(DomainError) as info:
+            Lognormal(mu=mu, sigma=1.0).sample(seed, n)
+        assert str(info.value) == f"lognormal draw overflows: exp({mu + top[2]!r})"
+        # the first block alone is drawn without an error
+        Lognormal(mu=mu, sigma=1.0).sample(seed, DRAW_BLOCK)
+
     def test_underflowing_lognormal_is_domain_error(self):
         with pytest.raises(DomainError):
             generate_tracks(config(dist=Lognormal(mu=-800.0, sigma=1.0), n=5))
@@ -150,6 +173,37 @@ class TestBulkSampling:
     def test_uniform_equals_per_index_definition(self, seed, n, lo, width):
         dist = Uniform(lo=lo, hi=lo * (1.0 + width))
         assert dist.sample(seed, n).tolist() == [uniform_ref(dist, seed, i) for i in range(n)]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "n",
+        [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 7],
+        ids=["B-1", "B", "B+1", "2B+7"],
+    )
+    @pytest.mark.parametrize(
+        "dist, ref",
+        [(LOGNORMAL_B5, lognormal_ref), (Uniform(lo=1e-3, hi=2e-2), uniform_ref)],
+        ids=["lognormal", "uniform"],
+    )
+    def test_block_boundaries_equal_per_index_definition(self, seed, n, dist, ref):
+        bulk = dist.sample(seed, n)
+        expected = np.array([ref(dist, seed, i) for i in range(n)])
+        assert bulk.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_generate_tracks_peak_memory_is_near_its_two_columns():
+    # 16 bytes a track are the ids and radii themselves; copying the
+    # columns or holding run-sized temporaries of the draws needs more
+    n = 200_000
+    sim = config(n=n)
+    generate_tracks(config(n=10))  # lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        generate_tracks(sim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n
 
 
 class TestCensor:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtf.rng import (
+    DRAW_BLOCK,
     libm_log,
     libm_map,
     raw64,
@@ -77,6 +78,19 @@ def test_bulk_draws_equal_scalar_definition(seed, n):
     assert raw64_range(seed, n).tolist() == [raw64(seed, i) for i in range(n)]
     assert unit_uniform_range(seed, n).tolist() == [unit_uniform(seed, i) for i in range(n)]
     assert std_normal_range(seed, n).tolist() == [std_normal(seed, i) for i in range(n)]
+
+
+@given(
+    seed=SEEDS,
+    start=st.integers(min_value=0, max_value=3 * DRAW_BLOCK),
+    n=st.integers(min_value=0, max_value=100),
+)
+@example(seed=0, start=DRAW_BLOCK, n=DRAW_BLOCK)
+@example(seed=2**64 - 1, start=DRAW_BLOCK - 1, n=2)
+@settings(deadline=None)
+def test_normal_range_from_an_offset_equals_scalar_definition(seed, start, n):
+    bulk = std_normal_range(seed, n, start)
+    assert bulk.tolist() == [std_normal(seed, i) for i in range(start, start + n)]
 
 
 def test_bulk_normals_bit_identical_over_many_draws():

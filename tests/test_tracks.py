@@ -168,6 +168,43 @@ class TestColumnarDataset:
         assert ds.radii.tolist() == [0.5, 0.25]
         assert ds.ids.dtype == np.int64 and ds.radii.dtype == np.float64
 
+    @staticmethod
+    def _dataset(ids, radii):
+        return TrackDataset(
+            ids=ids, radii=radii, source_label="", rows_read=len(ids), rows_dropped=0
+        )
+
+    def test_constructor_adopts_fresh_read_only_columns(self):
+        ids, radii = np.array([1, 2]), np.array([0.5, 0.25])
+        ids.flags.writeable = radii.flags.writeable = False
+        ds = self._dataset(ids, radii)
+        assert np.shares_memory(ds.ids, ids) and np.shares_memory(ds.radii, radii)
+
+    def test_constructor_copies_a_read_only_view_of_a_writable_base(self):
+        ids_base, radii_base = np.array([1, 2, 3]), np.array([0.5, 0.25, 0.125])
+        ids, radii = ids_base[:2], radii_base[:2]
+        ids.flags.writeable = radii.flags.writeable = False
+        ds = self._dataset(ids, radii)
+        assert not np.shares_memory(ds.ids, ids_base)
+        assert not np.shares_memory(ds.radii, radii_base)
+        ids_base[0], radii_base[0] = 7, 9.0
+        assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
+
+    def test_constructor_copies_a_read_only_column_of_another_dtype(self):
+        ids, radii = np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25], dtype=np.float32)
+        ids.flags.writeable = radii.flags.writeable = False
+        ds = self._dataset(ids, radii)
+        assert ds.ids.dtype == np.int64 and ds.radii.dtype == np.float64
+        assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
+
+    def test_parsed_columns_are_adoptable(self):
+        # parse_dataset hands over read-only columns it alone owns, so
+        # a dataset built from them holds the same arrays
+        ds = parse_dataset("5.0\n6.0", unit="mm")
+        assert ds.ids.base is None and ds.radii.base is None
+        again = self._dataset(ds.ids, ds.radii)
+        assert again.ids is ds.ids and again.radii is ds.radii
+
     def test_column_lengths_must_agree(self):
         with pytest.raises(DataError):
             TrackDataset(ids=[1, 2], radii=[0.5], source_label="", rows_read=2, rows_dropped=0)
