@@ -40,7 +40,7 @@ from .thermo import (
 # are imported by the subcommands that run them, so that ``constants``,
 # ``budget`` and ``--version`` never load them.
 if TYPE_CHECKING:
-    from .montecarlo import AccrualConfig, Lognormal, Uniform
+    from .montecarlo import AccrualConfig, AccrualOutcome, Lognormal, Uniform
     from .solvency import ParticleSpec
 
 SEED_ENV_VAR = "QTF_SEED"
@@ -196,9 +196,13 @@ def cmd_budget(args: argparse.Namespace) -> tuple[dict, dict | str]:
     return manifest, "\n".join(lines) + "\n"
 
 
-def _require_keys(config: dict, required: set[str], allowed: set[str]) -> None:
+def _require_keys(
+    config: dict, required: set[str], optional: set[str] | frozenset[str] = frozenset()
+) -> None:
+    """Every key of ``required`` is present and no key is outside
+    ``required | optional``."""
     missing = required - config.keys()
-    unknown = config.keys() - allowed
+    unknown = config.keys() - required - optional
     if missing:
         raise DomainError(f"config missing keys: {sorted(missing)}")
     if unknown:
@@ -247,16 +251,16 @@ def _parse_distribution(spec: dict) -> Lognormal | Uniform:
     kind = spec["kind"]
     if kind == "lognormal":
         if {"mu", "sigma"} <= spec.keys():
-            _require_keys(spec, {"kind", "mu", "sigma"}, {"kind", "mu", "sigma"})
+            _require_keys(spec, {"kind", "mu", "sigma"})
             return Lognormal(
                 mu=_config_float(spec, "mu"), sigma=_config_float(spec, "sigma")
             )
-        _require_keys(spec, {"kind", "mean_m", "sd_m"}, {"kind", "mean_m", "sd_m"})
+        _require_keys(spec, {"kind", "mean_m", "sd_m"})
         return lognormal_from_moments(
             _config_float(spec, "mean_m"), _config_float(spec, "sd_m")
         )
     if kind == "uniform":
-        _require_keys(spec, {"kind", "lo_m", "hi_m"}, {"kind", "lo_m", "hi_m"})
+        _require_keys(spec, {"kind", "lo_m", "hi_m"})
         return Uniform(lo=_config_float(spec, "lo_m"), hi=_config_float(spec, "hi_m"))
     raise DomainError(f"unknown distribution kind {kind!r}")
 
@@ -268,44 +272,24 @@ def _parse_particle(spec: dict | None) -> ParticleSpec | None:
         return None
     if not isinstance(spec, dict):
         raise DomainError("particle must be an object with mass_kg/kinetic_energy_j")
-    _require_keys(spec, {"mass_kg", "kinetic_energy_j"}, {"mass_kg", "kinetic_energy_j"})
+    _require_keys(spec, {"mass_kg", "kinetic_energy_j"})
     return ParticleSpec(
         mass=_config_float(spec, "mass_kg"),
         kinetic_energy=_config_float(spec, "kinetic_energy_j"),
     )
 
 
-_TRACK_KEYS = {
-    "mode",
-    "seed",
-    "n_tracks",
-    "distribution",
-    "particle",
-    "momentum_source",
-    "floor_n",
-}
-_ACCRUAL_KEYS = {
-    "mode",
-    "initial_budget_j",
-    "budget_rate_w",
-    "cost_rate_w",
-    "time_step_s",
-    "max_time_s",
-}
+# The keys accrual and sweep share; accrual adds budget_rate_w, a sweep
+# its list budget_rates_w.
+_ACCRUAL_KEYS = {"mode", "initial_budget_j", "cost_rate_w", "time_step_s", "max_time_s"}
 
 
-def _accrual_config(config: dict, *, sweep: bool) -> AccrualConfig:
+def _accrual_config(config: dict, budget_rate: float) -> AccrualConfig:
     from .montecarlo import AccrualConfig
 
-    # A sweep replaces the single budget rate with its list of rates.
-    if sweep:
-        keys = (_ACCRUAL_KEYS - {"budget_rate_w"}) | {"budget_rates_w"}
-    else:
-        keys = _ACCRUAL_KEYS
-    _require_keys(config, keys, keys)
     return AccrualConfig(
         initial_budget=_config_float(config, "initial_budget_j"),
-        budget_rate=0.0 if sweep else _config_float(config, "budget_rate_w"),
+        budget_rate=budget_rate,
         cost_rate=_config_float(config, "cost_rate_w"),
         time_step=_config_float(config, "time_step_s"),
         max_time=_config_float(config, "max_time_s"),
@@ -360,21 +344,22 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
     return emit_summary(report, fmt)
 
 
+def _outcome_record(outcome: AccrualOutcome) -> dict:
+    return {
+        "collapsed": outcome.collapsed,
+        "collapse_time_s": outcome.collapse_time,
+        "steps_run": outcome.steps_run,
+    }
+
+
 def _simulate_accrual(config: dict, fmt: str) -> dict | str:
     from .montecarlo import run_accrual
 
-    accrual = _accrual_config(config, sweep=False)
+    _require_keys(config, _ACCRUAL_KEYS | {"budget_rate_w"})
+    accrual = _accrual_config(config, _config_float(config, "budget_rate_w"))
     outcome = run_accrual(accrual)
-    body = {
-        "accrual": asdict(accrual),
-        "outcome": {
-            "collapsed": outcome.collapsed,
-            "collapse_time_s": outcome.collapse_time,
-            "steps_run": outcome.steps_run,
-        },
-    }
     if fmt == "json":
-        return body
+        return {"accrual": asdict(accrual), "outcome": _outcome_record(outcome)}
     if outcome.collapsed:
         line = (
             f"collapsed at t = {outcome.collapse_time:.6g} s"
@@ -388,7 +373,9 @@ def _simulate_accrual(config: dict, fmt: str) -> dict | str:
 def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     from .montecarlo import sweep_prediction_1
 
-    base = _accrual_config(config, sweep=True)
+    _require_keys(config, _ACCRUAL_KEYS | {"budget_rates_w"})
+    # each run takes its rate from budget_rates_w; base's rate is a placeholder
+    base = _accrual_config(config, 0.0)
     rates_w = config["budget_rates_w"]
     if not isinstance(rates_w, list):
         raise DomainError("budget_rates_w must be a list of rates")
@@ -396,19 +383,12 @@ def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     rates = [_config_float(items, key) for key in items]
     results = sweep_prediction_1(base, rates)
     if fmt == "json":
-        # base's budget_rate is a placeholder: each run takes a rate of the sweep
         accrual = asdict(base)
         del accrual["budget_rate"]
         return {
             "accrual": accrual,
             "sweep": [
-                {
-                    "budget_rate_w": rate,
-                    "collapsed": out.collapsed,
-                    "collapse_time_s": out.collapse_time,
-                    "steps_run": out.steps_run,
-                }
-                for rate, out in results
+                {"budget_rate_w": rate, **_outcome_record(out)} for rate, out in results
             ],
         }
     if fmt == "csv":
@@ -444,7 +424,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
         raise DomainError("accrual mode supports json or text, got 'csv'")
     seed: int | None = None
     if mode in ("tracks", "censor"):
-        _require_keys(config, {"mode", "seed", "n_tracks", "distribution"}, _TRACK_KEYS)
+        _require_keys(
+            config,
+            {"mode", "seed", "n_tracks", "distribution"},
+            {"particle", "momentum_source", "floor_n"},
+        )
         seed = _config_int(config, "seed")
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
@@ -455,7 +439,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                 ) from exc
 
-    resolved = dict(sorted(config.items()))
+    resolved = dict(config)
     if seed is not None:
         resolved["seed"] = seed
     manifest = _manifest(

@@ -193,8 +193,18 @@ class AccrualConfig:
 
     @property
     def n_steps(self) -> int:
-        """Steps in a run that does not collapse: t = time_step .. max_time."""
-        return int(self.max_time / self.time_step + 1e-9)
+        """Steps in a run that does not collapse: t = time_step .. max_time.
+
+        The quotient may land just under a whole number, by more than
+        the 1e-9 slack once it passes about 1e7; a step whose own time
+        k * time_step is still within max_time counts all the same.  Past
+        2**53 steps a float no longer holds every k, and the quotient
+        stands.
+        """
+        n = int(self.max_time / self.time_step + 1e-9)
+        if n < 2**53 and (n + 1) * self.time_step <= self.max_time:
+            return n + 1
+        return n
 
 
 @dataclass(frozen=True)
@@ -303,18 +313,15 @@ def sweep_prediction_1(
     """
     if not budget_rates:
         raise DomainError("budget_rates must be non-empty")
-    for rate in budget_rates:
-        if not (math.isfinite(rate) and rate >= 0):
-            raise DomainError(f"budget rates must be finite and >= 0, got {rate}")
-    if base.n_steps * len(budget_rates) > MAX_ACCRUAL_STEPS:
+    # every run's config, and so every rate, is checked before the first run
+    runs = [replace(base, budget_rate=rate) for rate in budget_rates]
+    if base.n_steps * len(runs) > MAX_ACCRUAL_STEPS:
         raise DomainError(
-            f"sweep of {len(budget_rates)} rates x {base.n_steps} steps exceeds"
+            f"sweep of {len(runs)} rates x {base.n_steps} steps exceeds"
             f" the cap of {MAX_ACCRUAL_STEPS} steps"
         )
-    return [
-        (rate, run_accrual(replace(base, budget_rate=rate)))
-        for rate in sorted(budget_rates)
-    ]
+    runs.sort(key=lambda run: run.budget_rate)
+    return [(run.budget_rate, run_accrual(run)) for run in runs]
 
 
 def ks_statistic(a: TrackDataset, b: TrackDataset) -> float:

@@ -400,6 +400,32 @@ class TestAccrual:
         # a run of 1e6 steps, the size the sweep benchmark uses, still runs
         assert run_accrual(config(1e6)).steps_run == 10**6
 
+    def test_step_count_keeps_a_final_step_lost_to_division(self):
+        # 33333.333/0.001 is 33333332.999999996, past the 1e-9 slack, yet
+        # step 33333333's own time is exactly max_time
+        config = AccrualConfig(
+            initial_budget=1e30, budget_rate=0.0, cost_rate=1.0,
+            time_step=0.001, max_time=33333.333,
+        )
+        assert 33333333 * 0.001 == 33333.333
+        assert config.n_steps == 33333333
+
+    @given(
+        time_step=st.floats(min_value=1e-4, max_value=1.0),
+        ratio=st.integers(min_value=1, max_value=10**8).map(float)
+        | st.floats(min_value=1.0, max_value=1e8),
+    )
+    @example(time_step=0.001, ratio=33333333.0)
+    @example(time_step=0.1, ratio=3.0)
+    @settings(deadline=None)
+    def test_step_count_misses_no_step_within_max_time(self, time_step, ratio):
+        max_time = time_step * ratio
+        config = AccrualConfig(
+            initial_budget=0.0, budget_rate=0.0, cost_rate=1.0,
+            time_step=time_step, max_time=max_time,
+        )
+        assert (config.n_steps + 1) * time_step > max_time
+
 
 class TestSweep:
     BASE = AccrualConfig(
@@ -435,6 +461,15 @@ class TestSweep:
     def test_rejects_empty_rates(self):
         with pytest.raises(DomainError):
             sweep_prediction_1(self.BASE, [])
+
+    def test_checks_every_rate_before_the_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "qtf.montecarlo.run_accrual", lambda config: calls.append(config)
+        )
+        with pytest.raises(DomainError, match="budget_rate must be finite and >= 0"):
+            sweep_prediction_1(self.BASE, [0.5, -1.0])
+        assert calls == []
 
     def test_step_cap_covers_the_whole_sweep(self):
         # every run collapses at its first step, so only the check costs
