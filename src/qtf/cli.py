@@ -88,15 +88,22 @@ def _render(manifest: dict, body: dict | str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract wants 1.
+    """argparse prints usage lines and exits 2 on a usage error; the
+    contract wants the one line ``qtf: error: ...`` and exit 1.
 
     argparse also drops an ``OSError`` from writing ``--help`` or
     ``--version``; here it reaches ``main``, which exits 1 on it.
     """
 
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"qtf: error: {message}\n")
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        # Python 3.11 drops the value of --flag=-- and hands the flag an
+        # empty list, which --out would take for "no path"
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def _print_message(self, message: str, file=None) -> None:
         if message:
@@ -511,6 +518,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error, --help or --version
+        return exc.code
     except OSError as exc:
         print(f"qtf: error: cannot write standard output: {exc}", file=sys.stderr)
         return 1

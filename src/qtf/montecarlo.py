@@ -52,15 +52,19 @@ class Lognormal:
 
         The draws are made ``DRAW_BLOCK`` at a time into one output
         array, so besides it only block-sized temporaries are held.
+        ``exp`` is the C library's (see :func:`qtf.rng.libm_apply`) and
+        fails as ``math.exp`` does: on a finite exponent whose result
+        overflows, not on an infinite one, and never on underflow.
         """
-        from .rng import DRAW_BLOCK, libm_map
+        from .rng import DRAW_BLOCK, libm_apply
 
         out = np.empty(n)
         for start in range(0, n, DRAW_BLOCK):
             exponents = self._exponents(seed, start, min(DRAW_BLOCK, n - start))
             try:
-                out[start : start + exponents.size] = libm_map(math.exp, exponents)
-            except OverflowError:
+                with np.errstate(over="raise", under="ignore"):
+                    out[start : start + exponents.size] = libm_apply(np.exp, exponents)
+            except FloatingPointError:
                 # named by the largest exponent of the whole run
                 largest = max(
                     float(self._exponents(seed, i, min(DRAW_BLOCK, n - i)).max())
@@ -71,11 +75,12 @@ class Lognormal:
 
     def _exponents(self, seed: int, start: int, size: int) -> np.ndarray:
         """mu + sigma * std_normal(seed, i) for i in range(start, start +
-        size); one past the float range is inf, without a warning."""
+        size); one past the float range is inf, and one below it is
+        subnormal or 0, without a warning or an error."""
         from .rng import std_normal_range
 
         exponents = std_normal_range(seed, size, start)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             exponents *= self.sigma
             exponents += self.mu
         return exponents

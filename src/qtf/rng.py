@@ -15,19 +15,15 @@ streams.  Its ``start`` offset gives draws start..start+n-1, so a
 caller can evaluate a long run in blocks of ``DRAW_BLOCK`` draws, as
 ``Lognormal.sample`` does, and hold a few block-sized temporaries
 instead of several run-sized ones; the block a draw lands in does not
-change its value.  ``log`` and ``exp`` go through the same libm calls
-as the scalar path, one ``math`` call per value, because numpy's own
-SIMD versions differ in the last ulp; ``log`` is called through
-``starmap`` (see :func:`libm_log`).  ``cos`` runs through numpy's
-float64 loop, which calls the C library's ``cos`` per element, the
-function ``math.cos`` calls; a test pins that equality.
+change its value.  ``log``, ``cos`` and ``exp`` are the C library's,
+the functions the scalar path calls through ``math``: numpy's own SIMD
+``log`` and ``exp`` differ from them in the last ulp, so the bulk path
+reaches numpy's per-element libm loop instead (see :func:`libm_apply`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import starmap
-from typing import Callable
 
 import numpy as np
 
@@ -68,20 +64,23 @@ def std_normal(seed: int, counter: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def libm_map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """``fn`` (a ``math`` function) applied to every value of a 1-D array,
-    as an array; the values are read through a buffer view, not a list."""
-    return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=values.size)
+def libm_apply(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.log``, ``np.exp`` or ``np.cos``) of every value of a
+    1-D array, as a new array, computed by the C library function that
+    ``math`` calls.
 
-
-def libm_log(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of every value of a 1-D array, as an array."""
-    # math.log takes its arguments as a tuple (METH_VARARGS), so map()
-    # would build a fresh one-element tuple per call; zip() hands starmap
-    # the same tuple again whenever the callee has let go of it.
-    return np.fromiter(
-        starmap(math.log, zip(memoryview(values))), dtype=np.float64, count=values.size
-    )
+    numpy's float64 ``log`` and ``exp`` run SIMD kernels unless input and
+    output overlap without being the same memory; then its loop calls
+    the C library once per element.  So the values are copied one slot
+    up in an ``n + 1`` buffer, and each result is written one slot down,
+    over a value already read.  A test pins each function to ``math``
+    bit for bit, so a numpy that routes this call elsewhere fails it.
+    Floating-point errors follow the caller's ``np.errstate``.
+    """
+    buf = np.empty(values.size + 1)
+    buf[1:] = values
+    ufunc(buf[1:], out=buf[:-1])
+    return buf[:-1]
 
 
 def _counters(start: int, n: int, step: int) -> np.ndarray:
@@ -132,10 +131,9 @@ def std_normal_range(seed: int, n: int, start: int = 0) -> np.ndarray:
     first = 2 * start + 1  # _counters holds counter + 1
     u1 = _unit(_splitmix(seed, _counters(first, n, 2)), 1)  # counters 2i
     u2 = _unit(_splitmix(seed, _counters(first + 1, n, 2)), 0)  # counters 2i + 1
-    out = libm_log(u1)
+    out = libm_apply(np.log, u1)
     out *= -2.0
     np.sqrt(out, out=out)
     u2 *= 2.0 * math.pi
-    np.cos(u2, out=u2)
-    out *= u2
+    out *= libm_apply(np.cos, u2)
     return out

@@ -63,6 +63,29 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate").returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["budget", "--temperature", "abc"],
+             "argument --temperature: invalid float value: 'abc'"),
+            (["analyze", FIXTURE, "--floor", "-inf"], "argument --floor: expected one argument"),
+            ([], "the following arguments are required: subcommand"),
+            (["budget", "--temperature=--"], "argument --temperature: expected one argument"),
+            (["budget", "--out=--"], "argument --out: expected one argument"),
+        ],
+        ids=["invalid-float", "option-like-value", "bare", "dashes-float", "dashes-out"],
+    )
+    def test_usage_error_is_one_line_and_exit_1(self, capsys, argv, message):
+        assert qtf.cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"qtf: error: {message}\n"
+        assert not captured.out
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_return_0(self, capsys, flag):
+        assert qtf.cli.main([flag]) == 0
+        assert capsys.readouterr().out
+
     def test_bad_budget_domain_is_config_error(self):
         assert run_cli("budget", "--temperature", "-3").returncode == 1
 

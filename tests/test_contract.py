@@ -7,8 +7,11 @@ an error leaves stdout empty and writes one ``qtf: error:`` (exit 1) or
 and no ``Infinity`` or ``NaN`` into its JSON; and a second call gives
 the same bytes.
 
-Flag values are always float literals: a flag argparse cannot parse is
-a usage error, which prints usage lines before its error line.
+Flag values are float literals or values argparse cannot parse
+(``abc``, the empty string, ``1,5``, ``--``, or a ``-inf`` that, as an
+argv element of its own, argparse takes for an option), given as
+``--flag=value`` or as ``--flag value``: a usage error is one
+``qtf: error:`` line like any other exit-1 error.
 
 The inputs stay small so the whole module runs in a few seconds: at most
 300 tracks, and accrual and sweep configs of at most 2e5 steps that run.
@@ -169,11 +172,16 @@ RADIUS_TOKENS = st.sampled_from(
      "", " 2.0 ", "radius_mm", "1,2", "\t3", "1e400", "0x10", "\ufeff1.0"]
 )
 
-# Float literals only: see the module docstring.
-FLOAT_FLAGS = st.sampled_from(
+FLAG_VALUES = st.sampled_from(
     ["0", "-0.0", "5e-324", "1e-320", "1e308", "1.7976931348623157e308", "inf",
-     "-inf", "nan", "1", "300", "1e3", "-3", "0.5", "1e-30", "4.2e14"]
+     "-inf", "nan", "1", "300", "1e3", "-3", "0.5", "1e-30", "4.2e14",
+     # usage errors: see the module docstring
+     "abc", "", "1,5", " ", "0x10", "-1e3", "--"]
 )
+
+
+def _flag(flag: str, value: str, joined: bool) -> list[str]:
+    return [f"{flag}={value}"] if joined else [flag, value]
 
 
 @pytest.fixture(scope="module")
@@ -233,17 +241,18 @@ def test_simulate_keeps_the_exit_code_contract(workdir, raw, fmt):
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     unit=st.sampled_from(["mm", "m"]),
     momentum=st.sampled_from(["paper", "derived"]),
-    floor=st.one_of(st.none(), FLOAT_FLAGS),
+    floor=st.one_of(st.none(), FLAG_VALUES),
+    joined=st.booleans(),
     fmt=FORMATS,
 )
 def test_analyze_keeps_the_exit_code_contract(
-    workdir, bom, tokens, newline, unit, momentum, floor, fmt
+    workdir, bom, tokens, newline, unit, momentum, floor, joined, fmt
 ):
     path = workdir / "radii.csv"
     path.write_bytes(("\ufeff" if bom else "").encode() + newline.join(tokens).encode())
     argv = ["analyze", str(path), "--unit", unit, "--momentum", momentum]
     if floor is not None:
-        argv.append(f"--floor={floor}")
+        argv += _flag("--floor", floor, joined)
     check_contract(argv, fmt)
 
 
@@ -251,10 +260,13 @@ def test_analyze_keeps_the_exit_code_contract(
 @given(
     flags=st.dictionaries(
         st.sampled_from(["--temperature", "--bits", "--modes", "--tau", "--fps"]),
-        FLOAT_FLAGS,
+        FLAG_VALUES,
     ),
+    joined=st.booleans(),
     fmt=st.sampled_from(["json", "text"]),
 )
-def test_budget_keeps_the_exit_code_contract(flags, fmt):
-    argv = ["budget", *(f"{flag}={value}" for flag, value in flags.items())]
+def test_budget_keeps_the_exit_code_contract(flags, joined, fmt):
+    argv = ["budget"]
+    for flag, value in flags.items():
+        argv += _flag(flag, value, joined)
     check_contract(argv, fmt)

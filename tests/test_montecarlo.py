@@ -132,6 +132,29 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate_tracks(config(dist=Lognormal(mu=-800.0, sigma=1.0), n=5))
 
+    def test_a_callers_errstate_changes_nothing(self):
+        # the draws set their own floating-point error handling: a caller
+        # that raises on every error gets the same radii and messages
+        def outcome(dist, n):
+            try:
+                return generate_tracks(config(dist=dist, n=n)).radii.tolist()
+            except DomainError as exc:
+                return str(exc)
+
+        cases = [
+            (LOGNORMAL_B5, DRAW_BLOCK + 5),
+            (Lognormal(mu=0.0, sigma=1e-310), 50),  # sigma * z underflows
+            (Uniform(lo=1e-3, hi=2e-2), 50),
+            (Lognormal(mu=800.0, sigma=1.0), 5),
+            (Lognormal(mu=-800.0, sigma=1.0), 5),
+        ]
+        plain = [outcome(*case) for case in cases]
+        with np.errstate(all="raise"):
+            strict = [outcome(*case) for case in cases]
+        assert strict == plain
+        assert plain[3].startswith("lognormal draw overflows: exp(")
+        assert plain[4].startswith("distribution produced radius 0.0 at 0;")
+
     def test_track_i_is_draw_i(self):
         ds = generate_tracks(config(seed=-5, n=300))
         assert ds.ids.tolist() == list(range(1, 301))

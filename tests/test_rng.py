@@ -1,6 +1,5 @@
 import math
 import struct
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +8,7 @@ from hypothesis import strategies as st
 
 from qtf.rng import (
     DRAW_BLOCK,
-    libm_log,
-    libm_map,
+    libm_apply,
     raw64,
     raw64_range,
     std_normal,
@@ -103,49 +101,62 @@ def test_bulk_normals_bit_identical_over_many_draws():
     ]
 
 
-def libm_list(fn, values: np.ndarray) -> list[float]:
-    return [fn(x) for x in values.tolist()]
+# Inputs for each libm function: the values the draws hand it, then
+# wide ones -- subnormals, the edges of the float range and, for exp,
+# the arguments next to overflow (709.78) and to a result of 0 (-745.13).
+_gen = np.random.default_rng(3)
+_UNITS = unit_uniform_range(5, 100_000)
+_TINY = [5e-324, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308]
+LIBM_INPUTS = {
+    "log": np.concatenate([
+        _UNITS + 2.0**-53,  # u1: (0, 1] in steps of 2**-53
+        np.ldexp(_gen.uniform(0.5, 1.0, 100_000), _gen.integers(-1073, 1025, 100_000)),
+        _TINY,
+        [1.0, 1.7976931348623157e308, math.inf],
+    ]),
+    "exp": np.concatenate([
+        -5.0 + 2.0 * std_normal_range(5, 100_000),  # lognormal exponents
+        _gen.uniform(-746.0, 709.78, 100_000),
+        np.linspace(709.0, 709.782712893384, 2_000),
+        np.linspace(-746.0, -744.0, 2_000),
+        _TINY,
+        [-0.0, -1e4, -math.inf],
+    ]),
+    "cos": np.concatenate([
+        (2.0 * math.pi) * _UNITS,  # the Box-Muller angle
+        np.ldexp(_gen.uniform(-1.0, 1.0, 100_000), _gen.integers(-60, 1000, 100_000)),
+        _TINY,
+        [-0.0, 1.7976931348623157e308],
+    ]),
+}
 
 
-def test_numpy_cos_is_the_c_library_cos():
-    # std_normal_range takes cos from numpy's float64 loop, which calls
-    # the C library's cos, the function math.cos calls; should numpy
-    # ever bring its own cos, the bulk draws would drift from std_normal
-    angles = (2.0 * math.pi) * unit_uniform_range(5, 100_000)
-    gen = np.random.default_rng(3)
-    wide = np.ldexp(gen.uniform(-1.0, 1.0, 100_000), gen.integers(-60, 1000, 100_000))
-    for values in (angles, wide):
-        mismatched = np.flatnonzero(
-            np.cos(values).view(np.uint64)
-            != np.array(libm_list(math.cos, values)).view(np.uint64)
-        )
-        assert mismatched.size == 0, (
-            f"np.cos differs from math.cos at {mismatched.size} of {values.size}"
-            f" values, first at {values[mismatched[0]]!r}; route the Box-Muller"
-            " angle in std_normal_range back through libm_map(math.cos, ...)"
-        )
-
-
-@pytest.mark.parametrize(
-    "bulk, fn",
-    [
-        (partial(libm_map, math.log), math.log),
-        (partial(libm_map, math.cos), math.cos),
-        (partial(libm_map, math.exp), math.exp),
-        (libm_log, math.log),
-    ],
-    ids=["log", "cos", "exp", "libm_log"],
-)
-def test_libm_map_reads_strided_and_read_only_arrays(bulk, fn):
-    base = unit_uniform_range(9, 1001) + 0.5
-    read_only = base.copy()
+def _views(values: np.ndarray) -> list[np.ndarray]:
+    """``values`` whole, strided, reversed, read-only and empty."""
+    read_only = values.copy()
     read_only.flags.writeable = False
-    for values in (base, base[::3], base[::-2], read_only, read_only[1::2], base[:0]):
-        out = bulk(values)
-        assert out.dtype == np.float64
-        assert [struct.pack("<d", x) for x in out.tolist()] == [
-            struct.pack("<d", x) for x in libm_list(fn, values)
-        ]
+    return [values, values[::3], values[::-2], read_only, read_only[1::2], values[:0]]
+
+
+@pytest.mark.parametrize("name", sorted(LIBM_INPUTS))
+def test_libm_apply_is_the_c_library_function(name):
+    # numpy's own float64 log and exp differ from libm in the last ulp
+    # on a few percent of values; should libm_apply ever reach them, or a
+    # numpy bring its own cos, the bulk draws would drift from std_normal
+    ufunc, fn = getattr(np, name), getattr(math, name)
+    for values in _views(LIBM_INPUTS[name]):
+        out = libm_apply(ufunc, values)
+        assert out.dtype == np.float64 and out.shape == values.shape
+        expected = np.array([fn(x) for x in values.tolist()], dtype=np.float64)
+        mismatched = np.flatnonzero(out.view(np.uint64) != expected.view(np.uint64))
+        if mismatched.size:
+            first = mismatched[0]
+            pytest.fail(
+                f"libm_apply(np.{name}, ...) differs from math.{name} at"
+                f" {mismatched.size} of {values.size} values, first"
+                f" {name}({float(values[first])!r}) = {float(out[first])!r},"
+                f" math gives {float(expected[first])!r}"
+            )
 
 
 # Sizes numpy refuses before it allocates anything (from 2**63 - 1 on,
