@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -11,6 +12,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # let a bare checkout run pytest without installing first
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+# CPython's own SHA-256 module, which qtf.cli._digest uses before hashlib
+HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
 def run_cli(

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import qtf.cli
 import qtf.tracks
-from conftest import run_cli
+from conftest import HAS_BUILTIN_SHA256, run_cli
 from qtf.constants import get_paper_values
 from qtf.errors import DomainError
 from qtf.solvency import action_index
@@ -79,6 +80,34 @@ class TestExitCodes:
         assert qtf.cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"qtf: error: {message}\n"
+        assert not captured.out
+
+    # every character str.splitlines breaks on (none lies above U+2029)
+    LINE_BREAKS = "".join(
+        chr(i) for i in range(0x3000) if len(f"a{chr(i)}b".splitlines()) == 2
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["budget", "{v}"], 1, "qtf: error: unrecognized arguments: "),
+            (["simulate", "{v}"], 1, "qtf: error: cannot read config "),
+            (["analyze", "{v}"], 2, "qtf: data error: cannot read "),
+            (["constants", "--out", "{missing}/{v}"], 1, "qtf: error: cannot write "),
+        ],
+        ids=["argv", "config-path", "radius-path", "out-path"],
+    )
+    def test_line_breaks_in_a_value_keep_the_error_one_line(
+        self, capsys, tmp_path, argv, code, prefix
+    ):
+        value = "a" + self.LINE_BREAKS + "b"
+        argv = [a.format(v=value, missing=tmp_path / "missing") for a in argv]
+        assert qtf.cli.main(argv) == code
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(prefix)
+        assert "a\\n\\x0b\\x0c\\r\\x1c\\x1d\\x1e\\x85\\u2028\\u2029b" in line
+        assert captured.err == line + "\n"
         assert not captured.out
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -865,6 +894,26 @@ class TestOneFileReader:
         captured = capsys.readouterr()
         assert captured.err == f"{prefix}{path}: {exc.value}\n"
         assert not captured.out
+
+
+# SHA-256 pads a message with at least 9 bytes to whole 64-byte blocks:
+# 55 bytes fill one block and 56 need two, as 119 fill two and 120 three
+DIGEST_SIZES = [0, 1, 55, 56, 63, 64, 65, 119, 120, 2**20 + 3]
+
+
+@pytest.mark.parametrize(
+    "blocked", [("hashlib",), ("_sha2", "_sha256")], ids=["builtin", "hashlib"]
+)
+def test_digest_equals_hashlib(monkeypatch, blocked):
+    # each route runs with the other's modules made unimportable
+    if blocked == ("hashlib",) and not HAS_BUILTIN_SHA256:
+        pytest.skip("no built-in SHA-256 module")
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    rng = random.Random(14)
+    for size in DIGEST_SIZES:
+        data = rng.randbytes(size)
+        assert qtf.cli._digest(data) == hashlib.sha256(data).hexdigest(), size
 
 
 class TestProcessEntryPoint:

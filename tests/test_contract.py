@@ -8,10 +8,10 @@ and no ``Infinity`` or ``NaN`` into its JSON; and a second call gives
 the same bytes.
 
 Flag values are float literals or values argparse cannot parse
-(``abc``, the empty string, ``1,5``, ``--``, or a ``-inf`` that, as an
-argv element of its own, argparse takes for an option), given as
-``--flag=value`` or as ``--flag value``: a usage error is one
-``qtf: error:`` line like any other exit-1 error.
+(``abc``, the empty string, ``1,5``, ``1`` newline ``5``, ``--``, or a
+``-inf`` that, as an argv element of its own, argparse takes for an
+option), given as ``--flag=value`` or as ``--flag value``: a usage error
+is one ``qtf: error:`` line like any other exit-1 error.
 
 The inputs stay small so the whole module runs in a few seconds: at most
 300 tracks, and accrual and sweep configs of at most 2e5 steps that run.
@@ -176,7 +176,7 @@ FLAG_VALUES = st.sampled_from(
     ["0", "-0.0", "5e-324", "1e-320", "1e308", "1.7976931348623157e308", "inf",
      "-inf", "nan", "1", "300", "1e3", "-3", "0.5", "1e-30", "4.2e14",
      # usage errors: see the module docstring
-     "abc", "", "1,5", " ", "0x10", "-1e3", "--"]
+     "abc", "", "1,5", "1\n5", " ", "0x10", "-1e3", "--"]
 )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qtf
-from conftest import SRC
+from conftest import HAS_BUILTIN_SHA256, SRC
 from qtf.tracks import fixture_path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -120,51 +120,65 @@ def test_light_subcommands_load_no_heavy_layer(argv):
     assert modules_loaded_by(argv, HEAVY_MODULES) == []
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        {
-            "mode": "accrual",
-            "initial_budget_j": 10.0,
-            "budget_rate_w": 1.0,
-            "cost_rate_w": 2.0,
-            "time_step_s": 0.01,
-            "max_time_s": 20.0,
-        },
-        {
-            "mode": "sweep",
-            "initial_budget_j": 10.0,
-            "cost_rate_w": 2.0,
-            "time_step_s": 0.01,
-            "max_time_s": 30.0,
-            "budget_rates_w": [0.0, 0.5, 1.0],
-        },
-    ],
-    ids=["accrual", "sweep"],
-)
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_accrual_and_sweep_load_no_track_layer(tmp_path, config, fmt):
+SIMULATE_CONFIGS = {
+    "accrual": {
+        "mode": "accrual",
+        "initial_budget_j": 10.0,
+        "budget_rate_w": 1.0,
+        "cost_rate_w": 2.0,
+        "time_step_s": 0.01,
+        "max_time_s": 20.0,
+    },
+    "sweep": {
+        "mode": "sweep",
+        "initial_budget_j": 10.0,
+        "cost_rate_w": 2.0,
+        "time_step_s": 0.01,
+        "max_time_s": 30.0,
+        "budget_rates_w": [0.0, 0.5, 1.0],
+    },
+    "censor": {
+        "mode": "censor",
+        "seed": 42,
+        "n_tracks": 228,
+        "distribution": {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3},
+    },
+}
+
+
+def run_argv(tmp_path, mode: str, fmt: str) -> list[str]:
+    """``analyze`` on the fixture, or ``simulate`` on the config of ``mode``."""
+    if mode == "analyze":
+        return ["analyze", str(fixture_path()), "--format", fmt]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    argv = ["simulate", str(path), "--format", fmt]
+    path.write_text(json.dumps(SIMULATE_CONFIGS[mode]), encoding="utf-8")
+    return ["simulate", str(path), "--format", fmt]
+
+
+@pytest.mark.parametrize("mode", ["accrual", "sweep"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_accrual_and_sweep_load_no_track_layer(tmp_path, mode, fmt):
+    argv = run_argv(tmp_path, mode, fmt)
     assert modules_loaded_by(argv, ("qtf.montecarlo", *TRACK_LAYERS)) == [
         "qtf.montecarlo"
     ]
 
 
-@pytest.mark.parametrize("mode", ["analyze", "censor"])
-def test_track_runs_load_no_masked_arrays(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, fmt", [("analyze", "json"), ("censor", "text")], ids=["analyze", "censor"]
+)
+def test_track_runs_load_no_masked_arrays(tmp_path, mode, fmt):
     # np.median imports numpy.ma to check for a masked argument;
     # compute_stats reads the median from its sorted copy instead
-    if mode == "analyze":
-        argv = ["analyze", str(fixture_path())]
-    else:
-        distribution = {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3}
-        config = {"mode": "censor", "seed": 42, "n_tracks": 228, "distribution": distribution}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        argv = ["simulate", str(path), "--format", "text"]
-    assert modules_loaded_by(argv, ("numpy.ma",)) == []
+    assert modules_loaded_by(run_argv(tmp_path, mode, fmt), ("numpy.ma",)) == []
+
+
+@pytest.mark.skipif(not HAS_BUILTIN_SHA256, reason="no built-in SHA-256 module")
+@pytest.mark.parametrize("mode", ["analyze", "censor", "accrual", "sweep"])
+def test_input_digest_loads_no_hashlib(tmp_path, mode):
+    # hashlib loads OpenSSL's libcrypto; _digest uses CPython's own module
+    argv = run_argv(tmp_path, mode, "json")
+    assert modules_loaded_by(argv, ("hashlib", "_hashlib")) == []
 
 
 @pytest.mark.parametrize(
