@@ -414,8 +414,8 @@ def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     # each run takes its rate from budget_rates_w; base's rate is a placeholder
     base = _accrual_config(config, 0.0)
     rates_w = config["budget_rates_w"]
-    if not isinstance(rates_w, list):
-        raise DomainError("budget_rates_w must be a list of rates")
+    if not (isinstance(rates_w, list) and rates_w):
+        raise DomainError("budget_rates_w must be a non-empty list of rates")
     items = {f"budget_rates_w[{i}]": rate for i, rate in enumerate(rates_w)}
     rates = [_config_float(items, key) for key in items]
     results = sweep_prediction_1(base, rates)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .errors import require_positive
+
 
 @dataclass(frozen=True)
 class PhysConsts:
@@ -34,9 +36,7 @@ class PhysConsts:
 
     def __post_init__(self) -> None:
         for name in ("h", "hbar", "k_b", "default_temperature"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

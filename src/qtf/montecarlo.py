@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import get_paper_values
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, require_nonnegative, require_positive
 
 # The draws, the solvency calculus and the track layer are imported by
 # the functions that use them, so that accrual and sweep runs never load
@@ -44,8 +44,7 @@ class Lognormal:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
+        require_nonnegative("sigma", self.sigma)
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         """Draws 0..n-1: draw i is exp(mu + sigma * std_normal(seed, i)).
@@ -97,8 +96,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and self.lo > 0):
-            raise DomainError(f"lo must be finite and > 0, got {self.lo}")
+        require_positive("lo", self.lo)
         if not (math.isfinite(self.hi) and self.hi > self.lo):
             raise DomainError(f"hi must be finite and > lo, got {self.hi}")
 
@@ -120,10 +118,8 @@ RadiusDistribution = Lognormal | Uniform
 
 def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
     """Lognormal whose distribution mean and standard deviation match."""
-    if not (math.isfinite(mean) and mean > 0):
-        raise DomainError(f"mean must be finite and > 0, got {mean}")
-    if not (math.isfinite(sd) and sd > 0):
-        raise DomainError(f"sd must be finite and > 0, got {sd}")
+    require_positive("mean", mean)
+    require_positive("sd", sd)
     try:
         s2 = math.log(1.0 + (sd / mean) ** 2)
     except OverflowError:
@@ -151,8 +147,7 @@ class SimConfig:
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
         if not (_is_int(self.n_tracks) and self.n_tracks >= 1):
             raise DomainError(f"n_tracks must be an integer >= 1, got {self.n_tracks!r}")
-        if not (math.isfinite(self.floor_n) and self.floor_n >= 0):
-            raise DomainError(f"floor_n must be finite and >= 0, got {self.floor_n}")
+        require_nonnegative("floor_n", self.floor_n)
 
 
 # Most steps an accrual run, or a whole sweep of runs, may take.  The
@@ -172,16 +167,10 @@ class AccrualConfig:
     max_time: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.initial_budget) and self.initial_budget >= 0):
-            raise DomainError(
-                f"initial_budget must be finite and >= 0, got {self.initial_budget}"
-            )
-        for name in ("budget_rate", "cost_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value}")
-        if not (math.isfinite(self.time_step) and self.time_step > 0):
-            raise DomainError(f"time_step must be > 0, got {self.time_step}")
+        require_nonnegative("initial_budget", self.initial_budget)
+        require_nonnegative("budget_rate", self.budget_rate)
+        require_nonnegative("cost_rate", self.cost_rate)
+        require_positive("time_step", self.time_step)
         if not (math.isfinite(self.max_time) and self.max_time >= self.time_step):
             raise DomainError(
                 f"max_time must be >= time_step, got {self.max_time}"
@@ -273,10 +262,8 @@ def censor_at_floor(
     from .solvency import n_real_values
     from .tracks import TrackDataset
 
-    if not (math.isfinite(momentum) and momentum > 0):
-        raise DomainError(f"momentum must be finite and > 0, got {momentum}")
-    if not (math.isfinite(floor_n) and floor_n >= 0):
-        raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
+    require_positive("momentum", momentum)
+    require_nonnegative("floor_n", floor_n)
     keep = n_real_values(dataset.radii, momentum) >= floor_n
     ids = dataset.ids[keep]
     radii = dataset.radii[keep]

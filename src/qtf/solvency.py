@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import get_consts
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 _CONSTS = get_consts()
 
@@ -36,12 +36,8 @@ class ParticleSpec:
     kinetic_energy: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise DomainError(f"mass must be finite and > 0, got {self.mass}")
-        if not (math.isfinite(self.kinetic_energy) and self.kinetic_energy >= 0):
-            raise DomainError(
-                f"kinetic_energy must be finite and >= 0, got {self.kinetic_energy}"
-            )
+        require_positive("mass", self.mass)
+        require_nonnegative("kinetic_energy", self.kinetic_energy)
 
 
 @dataclass(frozen=True)
@@ -64,10 +60,8 @@ def momentum_from_energy(particle: ParticleSpec) -> float:
 
 def action_index(radius: float, momentum: float) -> ActionIndex:
     """Solvency index for one track: n = radius * momentum / hbar."""
-    if not (math.isfinite(radius) and radius >= 0):
-        raise DomainError(f"radius must be finite and >= 0, got {radius}")
-    if not (math.isfinite(momentum) and momentum >= 0):
-        raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
+    require_nonnegative("radius", radius)
+    require_nonnegative("momentum", momentum)
     n_real = radius * momentum / _CONSTS.hbar
     if not math.isfinite(n_real):
         raise DomainError(
@@ -85,8 +79,7 @@ def n_real_values(radii, momentum: float):
     bit; the radii are taken as already validated.  An index past the
     float range is inf, without a warning: callers check finiteness.
     """
-    if not (math.isfinite(momentum) and momentum >= 0):
-        raise DomainError(f"momentum must be finite and >= 0, got {momentum}")
+    require_nonnegative("momentum", momentum)
     with np.errstate(over="ignore"):
         n = radii * momentum
         n /= _CONSTS.hbar  # in place: the same two roundings

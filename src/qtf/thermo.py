@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .constants import get_consts
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 _CONSTS = get_consts()
 
@@ -72,19 +72,15 @@ class ThermoQuery:
     energy_per_mode_per_frame: float = 6e-14  # J (opaque stated parameter)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise DomainError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("bits", "n_modes"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be >= 0, got {value}")
-        for name in ("sustain_time", "frame_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be > 0, got {value}")
-        e = self.energy_per_mode_per_frame
-        if not (math.isfinite(e) and e >= 0):
-            raise DomainError(f"energy_per_mode_per_frame must be >= 0, got {e}")
+        require_positive("temperature", self.temperature)
+        require_nonnegative("bits", self.bits)
+        require_nonnegative("n_modes", self.n_modes)
+        require_positive("sustain_time", self.sustain_time)
+        require_positive("frame_rate", self.frame_rate)
+        require_nonnegative("energy_per_mode_per_frame", self.energy_per_mode_per_frame)
+        # compute_budget's transition time; checked here to name the input
+        if not math.isfinite(1.0 / self.frame_rate):
+            raise DomainError(f"1/frame_rate overflows: frame_rate {self.frame_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -114,43 +110,35 @@ class DiscrepancyRecord:
 
 def landauer_cost(temperature: float, bits: float) -> tuple[float, float]:
     """Minimum erasure cost: (per-bit k_B*T*ln2, total for ``bits``)."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise DomainError(f"temperature must be > 0, got {temperature}")
-    if not (math.isfinite(bits) and bits >= 0):
-        raise DomainError(f"bits must be >= 0, got {bits}")
+    require_positive("temperature", temperature)
+    require_nonnegative("bits", bits)
     per_bit = _CONSTS.k_b * temperature * math.log(2.0)
     return per_bit, bits * per_bit
 
 
 def decoherence_rate(temperature: float) -> float:
     """Thermal decoherence rate k_B*T/hbar in Hz."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise DomainError(f"temperature must be > 0, got {temperature}")
+    require_positive("temperature", temperature)
     return _CONSTS.k_b * temperature / _CONSTS.hbar
 
 
 def min_sustain_energy(sustain_time: float) -> float:
     """Minimum energy hbar/tau to sustain coherence for ``sustain_time``."""
-    if not (math.isfinite(sustain_time) and sustain_time > 0):
-        raise DomainError(f"sustain_time must be > 0, got {sustain_time}")
+    require_positive("sustain_time", sustain_time)
     return _CONSTS.hbar / sustain_time
 
 
 def coherence_cost(n_modes: float, temperature: float) -> float:
     """Entropic lower bound N*k_B*T to hold N modes coherent (">~")."""
-    if not (math.isfinite(n_modes) and n_modes >= 0):
-        raise DomainError(f"n_modes must be >= 0, got {n_modes}")
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise DomainError(f"temperature must be > 0, got {temperature}")
+    require_nonnegative("n_modes", n_modes)
+    require_positive("temperature", temperature)
     return n_modes * _CONSTS.k_b * temperature
 
 
 def ml_bound(transition_time: float, n_transitions: float) -> tuple[float, float]:
     """Speed-limit minimum energy h/(4*t) and per-frame N*h/(4*t)."""
-    if not (math.isfinite(transition_time) and transition_time > 0):
-        raise DomainError(f"transition_time must be > 0, got {transition_time}")
-    if not (math.isfinite(n_transitions) and n_transitions >= 0):
-        raise DomainError(f"n_transitions must be >= 0, got {n_transitions}")
+    require_positive("transition_time", transition_time)
+    require_nonnegative("n_transitions", n_transitions)
     ml_min = _CONSTS.h / (4.0 * transition_time)
     return ml_min, n_transitions * ml_min
 
@@ -159,13 +147,9 @@ def dynamic_rendering_rate(
     energy_per_mode_per_frame: float, n_modes: float, frame_rate: float
 ) -> float:
     """Continuous rendering power e * N * f in J/s."""
-    for name, value in (
-        ("energy_per_mode_per_frame", energy_per_mode_per_frame),
-        ("n_modes", n_modes),
-        ("frame_rate", frame_rate),
-    ):
-        if not (math.isfinite(value) and value >= 0):
-            raise DomainError(f"{name} must be >= 0, got {value}")
+    require_nonnegative("energy_per_mode_per_frame", energy_per_mode_per_frame)
+    require_nonnegative("n_modes", n_modes)
+    require_nonnegative("frame_rate", frame_rate)
     return energy_per_mode_per_frame * n_modes * frame_rate
 
 
@@ -174,10 +158,8 @@ def asymmetry_ratio(
     w_collapsed: float = BIO_REFERENCE["collapsed_scene_j"],
 ) -> float:
     """Wave-vs-collapsed rendering cost ratio for one scene."""
-    if not (math.isfinite(w_wave) and w_wave >= 0):
-        raise DomainError(f"w_wave must be >= 0, got {w_wave}")
-    if not (math.isfinite(w_collapsed) and w_collapsed > 0):
-        raise DomainError(f"w_collapsed must be > 0, got {w_collapsed}")
+    require_nonnegative("w_wave", w_wave)
+    require_positive("w_collapsed", w_collapsed)
     return w_wave / w_collapsed
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import get_paper_values, sci
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, require_nonnegative
 from .solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 
 MOMENTUM_PAPER = "paper-stated"
@@ -307,8 +307,7 @@ def solvency_report(
     floor_n: float = get_paper_values().floor_n,
 ) -> SolvencyReport:
     """Full pipeline result for one dataset: stats plus solvency indices."""
-    if not (math.isfinite(floor_n) and floor_n >= 0):
-        raise DomainError(f"floor_n must be finite and >= 0, got {floor_n}")
+    require_nonnegative("floor_n", floor_n)
     momentum, source = resolve_momentum(momentum_source, particle)
     n_values = n_real_values(dataset.radii, momentum)
     n_values.flags.writeable = False

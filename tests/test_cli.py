@@ -811,6 +811,15 @@ class TestOverflowIsAConfigError:
             "qtf: error: budget component decoherence_rate is not finite (inf)"
         )
 
+    def test_frame_rate_whose_reciprocal_overflows(self, capsys):
+        # 1/frame_rate, the per-frame transition time, is inf
+        assert qtf.cli.main(["budget", "--fps", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == [
+            "qtf: error: 1/frame_rate overflows: frame_rate 1e-320"
+        ]
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("base", [ACCRUAL_CONFIG, SWEEP_CONFIG], ids=["accrual", "sweep"])
     def test_accrual_step_cap(self, tmp_path, base, fmt):
@@ -850,6 +859,10 @@ class TestNothingReadSilently:
             "qtf: error: sweep of 2 rates x 60000000 steps exceeds the cap of"
             " 100000000 steps"
         )
+
+    def test_empty_sweep_names_its_config_key(self, tmp_path):
+        line = self.run_config_text(tmp_path, json.dumps({**SWEEP_CONFIG, "budget_rates_w": []}))
+        assert line == "qtf: error: budget_rates_w must be a non-empty list of rates"
 
     @pytest.mark.parametrize(
         "text, key",

@@ -3,7 +3,9 @@
 ``qtf.cli.main`` runs in process on drawn ``simulate`` configs, radius
 files and ``budget`` flags.  Whatever the input, a call exits 0, 1 or 2;
 an error leaves stdout empty and writes one ``qtf: error:`` (exit 1) or
-``qtf: data error:`` (exit 2) line; a success writes nothing to stderr
+``qtf: data error:`` (exit 2) line, and a line that states a bound rule
+(``X must be finite and > 0, got V``) never names a V that meets it; a
+success writes nothing to stderr
 and no ``Infinity`` or ``NaN`` into its JSON; and a second call gives
 the same bytes.
 
@@ -21,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from datetime import timedelta
 
@@ -200,6 +203,25 @@ def _reject_constant(name: str):
     raise AssertionError(f"report holds {name}")
 
 
+BOUND_RULE = re.compile(r"must be (finite and )?(>=?) (\S+), got (\S+)$")
+
+
+def _meets_stated_rule(error_line: str) -> bool:
+    """Whether a "... X must be [finite and] OP B, got V" line names a
+    value V that meets the rule it states."""
+    rule = BOUND_RULE.search(error_line.rstrip("\n"))
+    if rule is None:
+        return False
+    finite, op, bound, value = rule.groups()
+    try:
+        bound, value = float(bound), float(value)
+    except ValueError:  # a bound named by another input, such as "> lo"
+        return False
+    if finite and not math.isfinite(value):
+        return False
+    return value >= bound if op == ">=" else value > bound
+
+
 def check_contract(argv: list[str], fmt: str) -> None:
     argv = [*argv, "--format", fmt]
     with pytest.MonkeyPatch.context() as mp:
@@ -214,6 +236,7 @@ def check_contract(argv: list[str], fmt: str) -> None:
         assert stdout == ""
         assert stderr.startswith(prefix)
         assert stderr.endswith("\n") and stderr.count("\n") == 1
+        assert not _meets_stated_rule(stderr), stderr
         return
     assert stderr == ""
     if fmt != "json":
