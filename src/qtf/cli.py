@@ -20,8 +20,10 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,7 +42,7 @@ from .thermo import (
 # are imported by the subcommands that run them, so that ``constants``,
 # ``budget`` and ``--version`` never load them.
 if TYPE_CHECKING:
-    from .montecarlo import AccrualConfig, AccrualOutcome, Lognormal, Uniform
+    from .montecarlo import AccrualOutcome, Lognormal, Uniform
     from .solvency import ParticleSpec
 
 SEED_ENV_VAR = "QTF_SEED"
@@ -166,9 +168,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict | str]:
     path = Path(args.path)
     raw = _read_bytes(path, DataError, str(path))
     dataset = parse_dataset(raw, unit=args.unit, source_label=str(path))
-    report = solvency_report(
-        dataset, momentum_source=args.momentum, floor_n=args.floor
-    )
+    with _caller_names({"--floor": "floor_n"}):
+        report = solvency_report(dataset, momentum_source=args.momentum, floor_n=args.floor)
     manifest = _manifest(
         "analyze",
         {
@@ -201,13 +202,10 @@ def _budget_body(query: ThermoQuery) -> dict:
 
 
 def cmd_budget(args: argparse.Namespace) -> tuple[dict, dict | str]:
-    query = ThermoQuery(
-        temperature=args.temperature,
-        bits=args.bits,
-        n_modes=args.modes,
-        sustain_time=args.tau,
-        frame_rate=args.fps,
-    )
+    # argparse stores each flag under its name without the dashes
+    flags = {flag: getattr(args, flag[2:]) for flag in _BUDGET_FLAGS}
+    table = {flag: field for flag, (field, _) in _BUDGET_FLAGS.items()}
+    query = _build(ThermoQuery, flags, table)
     body = _budget_body(query)
     manifest = _manifest("budget", {**asdict(query), "format": args.format})
     if args.format == "json":
@@ -257,16 +255,17 @@ def _config_int(config: dict, key: str) -> int:
     return value
 
 
-def _config_float(config: dict, key: str) -> float:
+def _config_float(config: dict, key: str, path: str = "") -> float:
     """A real config value; integers and floats are accepted, booleans,
-    strings and every other JSON type are not."""
+    strings and every other JSON type are not.  An error names the key
+    after ``path``, the keys of the objects that hold it."""
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{key} must be a number, got {value!r}")
+        raise DomainError(f"{path}{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise DomainError(f"{key} is out of the float range, got {value!r}") from None
+        raise DomainError(f"{path}{key} is out of the float range, got {value!r}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -280,6 +279,53 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return config
 
 
+# Each table maps a key or flag, as the caller writes it, to the
+# parameter it fills, in the order the values are read.
+_LOGNORMAL = {"mu": "mu", "sigma": "sigma"}
+_MOMENTS = {"mean_m": "mean", "sd_m": "sd"}
+_UNIFORM = {"lo_m": "lo", "hi_m": "hi"}
+_PARTICLE = {"mass_kg": "mass", "kinetic_energy_j": "kinetic_energy"}
+# The keys accrual and sweep share; accrual reads its one rate first, a
+# sweep takes its rates from the list budget_rates_w.
+_ACCRUAL = {"initial_budget_j": "initial_budget", "cost_rate_w": "cost_rate",
+            "time_step_s": "time_step", "max_time_s": "max_time"}
+# flag -> (ThermoQuery field, --help text); the defaults are ThermoQuery's
+_BUDGET_FLAGS = {
+    "--temperature": ("temperature", "K"),
+    "--bits": ("bits", "bits per symbolic unit"),
+    "--modes": ("n_modes", "degrees of freedom"),
+    "--tau": ("sustain_time", "sustain time, s"),
+    "--fps": ("frame_rate", "frame rate, Hz"),
+}
+
+
+@contextmanager
+def _caller_names(table: dict[str, str], path: str = ""):
+    """Re-raise a ``DomainError`` about a parameter of ``table`` with each
+    parameter its message names written as the caller's key or flag,
+    after ``path``.  A parameter inside a formula, such as ``sd/mean``,
+    keeps the library's name."""
+    try:
+        yield
+    except DomainError as exc:
+        names = {param: path + key for key, param in table.items()}
+        if exc.name not in names:
+            raise
+        message = re.sub(r"[\w/*()]+", lambda m: names.get(m[0], m[0]), str(exc))
+        raise DomainError(message, names[exc.name]) from None
+
+
+def _build(make, config: dict, table: dict[str, str], path: str = "",
+           keys: set[str] | frozenset[str] = frozenset(), **fixed):
+    """``make`` called with the values of ``table``'s keys in ``config``,
+    which holds those keys and ``keys`` and no other, and with ``fixed``;
+    its errors name the keys after ``path``."""
+    _require_keys(config, table.keys() | keys)
+    values = {param: _config_float(config, key, path) for key, param in table.items()}
+    with _caller_names(table, path):
+        return make(**values, **fixed)
+
+
 def _parse_distribution(spec: dict) -> Lognormal | Uniform:
     from .montecarlo import Lognormal, Uniform, lognormal_from_moments
 
@@ -287,18 +333,11 @@ def _parse_distribution(spec: dict) -> Lognormal | Uniform:
         raise DomainError("distribution must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "lognormal":
-        if {"mu", "sigma"} <= spec.keys():
-            _require_keys(spec, {"kind", "mu", "sigma"})
-            return Lognormal(
-                mu=_config_float(spec, "mu"), sigma=_config_float(spec, "sigma")
-            )
-        _require_keys(spec, {"kind", "mean_m", "sd_m"})
-        return lognormal_from_moments(
-            _config_float(spec, "mean_m"), _config_float(spec, "sd_m")
-        )
+        if _LOGNORMAL.keys() <= spec.keys():
+            return _build(Lognormal, spec, _LOGNORMAL, "distribution.", {"kind"})
+        return _build(lognormal_from_moments, spec, _MOMENTS, "distribution.", {"kind"})
     if kind == "uniform":
-        _require_keys(spec, {"kind", "lo_m", "hi_m"})
-        return Uniform(lo=_config_float(spec, "lo_m"), hi=_config_float(spec, "hi_m"))
+        return _build(Uniform, spec, _UNIFORM, "distribution.", {"kind"})
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
@@ -308,29 +347,8 @@ def _parse_particle(spec: dict | None) -> ParticleSpec | None:
     if spec is None:
         return None
     if not isinstance(spec, dict):
-        raise DomainError("particle must be an object with mass_kg/kinetic_energy_j")
-    _require_keys(spec, {"mass_kg", "kinetic_energy_j"})
-    return ParticleSpec(
-        mass=_config_float(spec, "mass_kg"),
-        kinetic_energy=_config_float(spec, "kinetic_energy_j"),
-    )
-
-
-# The keys accrual and sweep share; accrual adds budget_rate_w, a sweep
-# its list budget_rates_w.
-_ACCRUAL_KEYS = {"mode", "initial_budget_j", "cost_rate_w", "time_step_s", "max_time_s"}
-
-
-def _accrual_config(config: dict, budget_rate: float) -> AccrualConfig:
-    from .montecarlo import AccrualConfig
-
-    return AccrualConfig(
-        initial_budget=_config_float(config, "initial_budget_j"),
-        budget_rate=budget_rate,
-        cost_rate=_config_float(config, "cost_rate_w"),
-        time_step=_config_float(config, "time_step_s"),
-        max_time=_config_float(config, "max_time_s"),
-    )
+        raise DomainError(f"particle must be an object with {'/'.join(_PARTICLE)}")
+    return _build(ParticleSpec, spec, _PARTICLE, "particle.")
 
 
 def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
@@ -353,7 +371,14 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
         **options,
     )
     # Checked before any track is drawn.
-    momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
+    with _caller_names(_PARTICLE, "particle."):
+        momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
+        # censor_at_floor refuses a zero momentum, which only a derived one
+        # can be, but after every draw; the with block names its inputs
+        if mode == "censor" and momentum == 0.0:
+            p = sim.particle
+            raise DomainError(f"mass {p.mass!r} and kinetic_energy {p.kinetic_energy!r}"
+                              " give momentum 0.0, which censoring cannot use", "mass")
     dataset = generate_tracks(sim)
     if mode == "censor":
         censored = censor_at_floor(dataset, sim.floor_n, momentum)
@@ -390,10 +415,10 @@ def _outcome_record(outcome: AccrualOutcome) -> dict:
 
 
 def _simulate_accrual(config: dict, fmt: str) -> dict | str:
-    from .montecarlo import run_accrual
+    from .montecarlo import AccrualConfig, run_accrual
 
-    _require_keys(config, _ACCRUAL_KEYS | {"budget_rate_w"})
-    accrual = _accrual_config(config, _config_float(config, "budget_rate_w"))
+    table = {"budget_rate_w": "budget_rate", **_ACCRUAL}
+    accrual = _build(AccrualConfig, config, table, keys={"mode"})
     outcome = run_accrual(accrual)
     if fmt == "json":
         return {"accrual": asdict(accrual), "outcome": _outcome_record(outcome)}
@@ -408,16 +433,20 @@ def _simulate_accrual(config: dict, fmt: str) -> dict | str:
 
 
 def _simulate_sweep(config: dict, fmt: str) -> dict | str:
-    from .montecarlo import sweep_prediction_1
+    from .montecarlo import AccrualConfig, sweep_prediction_1
 
-    _require_keys(config, _ACCRUAL_KEYS | {"budget_rates_w"})
-    # each run takes its rate from budget_rates_w; base's rate is a placeholder
-    base = _accrual_config(config, 0.0)
-    rates_w = config["budget_rates_w"]
+    key = "budget_rates_w"
+    # each run takes its rate from the list; base's rate is a placeholder
+    base = _build(AccrualConfig, config, _ACCRUAL, keys={"mode", key}, budget_rate=0.0)
+    rates_w = config[key]
     if not (isinstance(rates_w, list) and rates_w):
-        raise DomainError("budget_rates_w must be a non-empty list of rates")
-    items = {f"budget_rates_w[{i}]": rate for i, rate in enumerate(rates_w)}
-    rates = [_config_float(items, key) for key in items]
+        raise DomainError(f"{key} must be a non-empty list of rates")
+    items = {f"{key}[{i}]": rate for i, rate in enumerate(rates_w)}
+    rates = [_config_float(items, item) for item in items]
+    # every rate is checked, in order, before the first run
+    for item, rate in zip(items, rates):
+        with _caller_names({item: "budget_rate"}):
+            replace(base, budget_rate=rate)
     results = sweep_prediction_1(base, rates)
     if fmt == "json":
         accrual = asdict(base)
@@ -523,14 +552,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("budget", help="compute the energy budget and audit")
     stated = ThermoQuery()  # the defaults are the stated reference inputs
-    for flag, default, help_text in (
-        ("--temperature", stated.temperature, "K"),
-        ("--bits", stated.bits, "bits per symbolic unit"),
-        ("--modes", stated.n_modes, "degrees of freedom"),
-        ("--tau", stated.sustain_time, "sustain time, s"),
-        ("--fps", stated.frame_rate, "frame rate, Hz"),
-    ):
-        p.add_argument(flag, type=float, default=default, help=help_text)
+    for flag, (field, help_text) in _BUDGET_FLAGS.items():
+        p.add_argument(flag, type=float, default=getattr(stated, field), help=help_text)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_budget)

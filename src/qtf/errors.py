@@ -17,7 +17,16 @@ class QtfError(Exception):
 
 
 class DomainError(QtfError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
+    """An argument is outside the mathematical domain of an operation.
+
+    ``name`` is the parameter the error is about (of two, the first its
+    message names), or None; the CLI restates a message that has one in
+    the keys and flags its caller wrote.
+    """
+
+    def __init__(self, message: str, name: str | None = None) -> None:
+        super().__init__(message)
+        self.name = name
 
 
 class DataError(QtfError, ValueError):
@@ -27,10 +36,10 @@ class DataError(QtfError, ValueError):
 def require_nonnegative(name: str, value: float) -> None:
     """Raise ``DomainError`` unless ``value`` is finite and >= 0."""
     if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+        raise DomainError(f"{name} must be finite and >= 0, got {value}", name)
 
 
 def require_positive(name: str, value: float) -> None:
     """Raise ``DomainError`` unless ``value`` is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value}")
+        raise DomainError(f"{name} must be finite and > 0, got {value}", name)

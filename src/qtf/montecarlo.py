@@ -43,7 +43,7 @@ class Lognormal:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu}")
+            raise DomainError(f"mu must be finite, got {self.mu}", "mu")
         require_nonnegative("sigma", self.sigma)
 
     def sample(self, seed: int, n: int) -> np.ndarray:
@@ -98,7 +98,7 @@ class Uniform:
     def __post_init__(self) -> None:
         require_positive("lo", self.lo)
         if not (math.isfinite(self.hi) and self.hi > self.lo):
-            raise DomainError(f"hi must be finite and > lo, got {self.hi}")
+            raise DomainError(f"hi must be finite and > lo, got {self.hi}", "hi")
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         """Draws 0..n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i)."""
@@ -122,8 +122,10 @@ def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
     require_positive("sd", sd)
     try:
         s2 = math.log(1.0 + (sd / mean) ** 2)
-    except OverflowError:
-        raise DomainError(f"sd/mean overflows: sd {sd!r}, mean {mean!r}") from None
+    except OverflowError:  # (sd/mean)**2 leaves the float range
+        s2 = math.inf
+    if s2 == math.inf:  # or sd/mean itself does, without an error
+        raise DomainError(f"sd/mean overflows: sd {sd!r}, mean {mean!r}", "sd")
     return Lognormal(mu=math.log(mean) - s2 / 2.0, sigma=math.sqrt(s2))
 
 
@@ -173,7 +175,7 @@ class AccrualConfig:
         require_positive("time_step", self.time_step)
         if not (math.isfinite(self.max_time) and self.max_time >= self.time_step):
             raise DomainError(
-                f"max_time must be >= time_step, got {self.max_time}"
+                f"max_time must be >= time_step, got {self.max_time}", "max_time"
             )
         if not math.isfinite(self.max_time / self.time_step):
             raise DomainError(

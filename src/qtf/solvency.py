@@ -54,8 +54,17 @@ class ActionIndex:
 
 
 def momentum_from_energy(particle: ParticleSpec) -> float:
-    """Momentum p = sqrt(2*m*E) in kg*m/s; zero energy gives zero."""
-    return math.sqrt(2.0 * particle.mass * particle.kinetic_energy)
+    """Momentum p = sqrt(2*m*E) in kg*m/s.  Zero energy, or a product
+    2*m*E that underflows, gives zero; a momentum past the float range
+    is a ``DomainError`` naming the particle's mass and energy."""
+    momentum = math.sqrt(2.0 * particle.mass * particle.kinetic_energy)
+    if momentum == math.inf:
+        raise DomainError(
+            f"mass {particle.mass!r} and kinetic_energy {particle.kinetic_energy!r}"
+            " give a momentum past the float range",
+            "mass",
+        )
+    return momentum
 
 
 def action_index(radius: float, momentum: float) -> ActionIndex:

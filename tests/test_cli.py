@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qtf.cli
+import qtf.montecarlo
 import qtf.tracks
 from conftest import HAS_BUILTIN_SHA256, run_cli
 from qtf.constants import get_paper_values
@@ -953,3 +954,79 @@ class TestProcessEntryPoint:
             (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
         )
         assert pyproject["project"]["scripts"]["qtf"] == "qtf.cli:run"
+
+
+def _moments(mean_m: float, sd_m: float) -> dict:
+    distribution = {"kind": "lognormal", "mean_m": mean_m, "sd_m": sd_m}
+    return {**CENSOR_CONFIG, "distribution": distribution}
+
+
+def _uniform(lo_m: float, hi_m: float) -> dict:
+    distribution = {"kind": "uniform", "lo_m": lo_m, "hi_m": hi_m}
+    return {**CENSOR_CONFIG, "mode": "tracks", "distribution": distribution}
+
+
+def _derived(mode: str, mass_kg: float, kinetic_energy_j: float) -> dict:
+    particle = {"mass_kg": mass_kg, "kinetic_energy_j": kinetic_energy_j}
+    return {**CENSOR_CONFIG, "mode": mode, "momentum_source": "derived", "particle": particle}
+
+
+# An input error names the key or flag the caller wrote, where the
+# library names its own parameter (mu, momentum, time_step, lo, hi,
+# max_time, budget_rate, temperature, floor_n).
+CALLER_NAMED_ERRORS = {
+    "mean_m-underflows": (
+        _moments(5e-324, 5.05e-3),
+        "sd/mean overflows: distribution.sd_m 0.00505, distribution.mean_m 5e-324"),
+    "sd_m-overflows": (
+        _moments(7.42e-3, 1e308),
+        "sd/mean overflows: distribution.sd_m 1e+308, distribution.mean_m 0.00742"),
+    "mass_kg-overflows": (
+        _derived("tracks", 1e308, 8.01e-13),
+        "particle.mass_kg 1e+308 and particle.kinetic_energy_j 8.01e-13 give a momentum"
+        " past the float range"),
+    "censor-at-zero-energy": (
+        _derived("censor", 6.64e-27, 0),
+        "particle.mass_kg 6.64e-27 and particle.kinetic_energy_j 0.0 give momentum 0.0,"
+        " which censoring cannot use"),
+    "time_step_s": (
+        {**ACCRUAL_CONFIG, "time_step_s": -1},
+        "time_step_s must be finite and > 0, got -1.0"),
+    "lo_m": (_uniform(-1, 2e-3), "distribution.lo_m must be finite and > 0, got -1.0"),
+    "hi_m-below-lo_m": (
+        _uniform(1e-4, 1e-5),
+        "distribution.hi_m must be finite and > distribution.lo_m, got 1e-05"),
+    "max_time_s-below-time_step_s": (
+        {**ACCRUAL_CONFIG, "time_step_s": 0.1, "max_time_s": 0.01},
+        "max_time_s must be >= time_step_s, got 0.01"),
+    "sweep-rate": (
+        {**SWEEP_CONFIG, "budget_rates_w": [0.5, -1]},
+        "budget_rates_w[1] must be finite and >= 0, got -1.0"),
+    "budget-temperature": (
+        ["budget", "--temperature", "-3"], "--temperature must be finite and > 0, got -3.0"),
+    "analyze-floor": (
+        ["analyze", FIXTURE, "--floor=-1"], "--floor must be finite and >= 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", CALLER_NAMED_ERRORS)
+def test_input_error_names_what_the_caller_wrote(tmp_path, capsys, case):
+    call, message = CALLER_NAMED_ERRORS[case]
+    argv = call if isinstance(call, list) else ["simulate", write_config(tmp_path, call)]
+    assert qtf.cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"qtf: error: {message}\n"
+
+
+def test_zero_momentum_censor_draws_no_track(tmp_path, monkeypatch):
+    # tracks mode keeps drawing at zero momentum; censor refuses it first
+    def draw(sim):
+        raise AssertionError("a track was drawn")
+
+    monkeypatch.setattr(qtf.montecarlo, "generate_tracks", draw)
+    config = write_config(tmp_path, _derived("censor", 6.64e-27, 0))
+    assert qtf.cli.main(["simulate", config]) == 1
+    tracks = write_config(tmp_path, _derived("tracks", 6.64e-27, 0))
+    with pytest.raises(AssertionError, match="a track was drawn"):
+        qtf.cli.main(["simulate", tracks])

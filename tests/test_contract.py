@@ -4,8 +4,9 @@
 files and ``budget`` flags.  Whatever the input, a call exits 0, 1 or 2;
 an error leaves stdout empty and writes one ``qtf: error:`` (exit 1) or
 ``qtf: data error:`` (exit 2) line, and a line that states a bound rule
-(``X must be finite and > 0, got V``) never names a V that meets it; a
-success writes nothing to stderr
+(``X must be finite and > 0, got V``) never names a V that meets it,
+and names as X an input the caller wrote: a flag of the call or a key of
+its config, dotted when nested; a success writes nothing to stderr
 and no ``Infinity`` or ``NaN`` into its JSON; and a second call gives
 the same bytes.
 
@@ -26,6 +27,7 @@ import math
 import re
 import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -222,6 +224,31 @@ def _meets_stated_rule(error_line: str) -> bool:
     return value >= bound if op == ">=" else value > bound
 
 
+def _key_name(path: tuple) -> str:
+    """A config path as an error names it: ``distribution.lo_m``,
+    ``budget_rates_w[1]``."""
+    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return name[1:]
+
+
+def _names_in_call(argv: list[str]) -> set[str]:
+    """The inputs a call names: its flags, and for ``simulate`` its
+    ``config`` and every key in that config."""
+    names = {arg.partition("=")[0] for arg in argv if arg.startswith("--")}
+    if argv[0] == "simulate":
+        names.add("config")
+        try:
+            config = json.loads(Path(argv[1]).read_bytes())
+        except (ValueError, RecursionError):
+            config = None
+        if isinstance(config, dict):
+            names.update(map(_key_name, _paths(config)))
+    return names
+
+
+SUBJECT = re.compile(r"qtf: (?:data )?error: (\S+) must be ")
+
+
 def check_contract(argv: list[str], fmt: str) -> None:
     argv = [*argv, "--format", fmt]
     with pytest.MonkeyPatch.context() as mp:
@@ -237,6 +264,8 @@ def check_contract(argv: list[str], fmt: str) -> None:
         assert stderr.startswith(prefix)
         assert stderr.endswith("\n") and stderr.count("\n") == 1
         assert not _meets_stated_rule(stderr), stderr
+        subject = SUBJECT.match(stderr)
+        assert subject is None or subject[1] in _names_in_call(argv), stderr
         return
     assert stderr == ""
     if fmt != "json":

@@ -21,7 +21,7 @@ from qtf.montecarlo import (
     censor_at_floor,
     lognormal_from_moments,
 )
-from qtf.solvency import ParticleSpec, action_index, n_real_values
+from qtf.solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 from qtf.thermo import (
     ThermoQuery,
     asymmetry_ratio,
@@ -118,3 +118,41 @@ def test_message_states_the_whole_rule(site, value):
         call(value)
     assert str(excinfo.value) == f"{name} must be finite and {op} 0, got {value}"
 
+
+
+@pytest.mark.parametrize("site, value", CASES)
+def test_error_carries_the_name_it_states(site, value):
+    name, _, call = SITES[site]
+    with pytest.raises(DomainError) as excinfo:
+        call(value)
+    assert excinfo.value.name == name
+
+
+# Values derived from two inputs are checked where they are derived and
+# name both inputs: (the call, its message, the name the error carries)
+DERIVED = {
+    "lognormal_from_moments.mean-underflows": (
+        lambda: lognormal_from_moments(5e-324, 5.05e-3),
+        "sd/mean overflows: sd 0.00505, mean 5e-324", "sd"),
+    "lognormal_from_moments.sd-overflows": (
+        lambda: lognormal_from_moments(7.42e-3, 1e308),
+        "sd/mean overflows: sd 1e+308, mean 0.00742", "sd"),
+    "momentum_from_energy": (
+        lambda: momentum_from_energy(ParticleSpec(1e308, 8.01e-13)),
+        "mass 1e+308 and kinetic_energy 8.01e-13 give a momentum past the float range",
+        "mass"),
+}
+
+
+@pytest.mark.parametrize("site", DERIVED)
+def test_derived_value_names_its_inputs(site):
+    call, message, name = DERIVED[site]
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+    assert excinfo.value.name == name
+
+
+def test_underflowing_energy_gives_zero_momentum():
+    # not an error here: only censoring needs momentum > 0
+    assert momentum_from_energy(ParticleSpec(5e-324, 1e-300)) == 0.0
