@@ -20,12 +20,13 @@ so the transcription itself is auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
+from ._value import value_class
 from .errors import require_positive
 
 
-@dataclass(frozen=True)
+@value_class
 class PhysConsts:
     """Full-precision physical constants (SI units)."""
 
@@ -39,7 +40,7 @@ class PhysConsts:
             require_positive(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@value_class
 class PaperValues:
     """Stated reference values, transcribed verbatim (SI units).
 

@@ -18,11 +18,12 @@ Two experiment families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._value import value_class
 from .constants import get_paper_values
 from .errors import DataError, DomainError, require_nonnegative, require_positive
 
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
     from .tracks import TrackDataset
 
 
-@dataclass(frozen=True)
+@value_class
 class Lognormal:
     """Lognormal radius distribution; mu/sigma are of the underlying normal."""
 
@@ -88,7 +89,7 @@ class Lognormal:
         return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
 
 
-@dataclass(frozen=True)
+@value_class
 class Uniform:
     """Uniform radius distribution on [lo, hi) meters; lo must be > 0."""
 
@@ -133,7 +134,7 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@value_class
 class SimConfig:
     """Synthetic track population configuration."""
 
@@ -158,7 +159,7 @@ class SimConfig:
 MAX_ACCRUAL_STEPS = 10**8
 
 
-@dataclass(frozen=True)
+@value_class
 class AccrualConfig:
     """Discrete-time budget accrual parameters (J, W, s)."""
 
@@ -179,12 +180,16 @@ class AccrualConfig:
             )
         if not math.isfinite(self.max_time / self.time_step):
             raise DomainError(
-                f"max_time/time_step overflows: {self.max_time!r}/{self.time_step!r}"
+                f"max_time/time_step overflows: max_time {self.max_time!r},"
+                f" time_step {self.time_step!r}",
+                "max_time",
             )
         if self.n_steps > MAX_ACCRUAL_STEPS:
             raise DomainError(
                 f"accrual run of {self.n_steps} steps exceeds the cap of"
-                f" {MAX_ACCRUAL_STEPS} steps (max_time/time_step)"
+                f" {MAX_ACCRUAL_STEPS} steps: max_time {self.max_time!r},"
+                f" time_step {self.time_step!r}",
+                "max_time",
             )
 
     @property
@@ -203,7 +208,7 @@ class AccrualConfig:
         return n
 
 
-@dataclass(frozen=True)
+@value_class
 class AccrualOutcome:
     """Result of one accrual run; collapse_time is None when no collapse."""
 

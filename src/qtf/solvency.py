@@ -18,17 +18,17 @@ use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import value_class
 from .constants import get_consts
 from .errors import DomainError, require_nonnegative, require_positive
 
 _CONSTS = get_consts()
 
 
-@dataclass(frozen=True)
+@value_class
 class ParticleSpec:
     """Particle mass (kg) and kinetic energy (J)."""
 
@@ -40,7 +40,7 @@ class ParticleSpec:
         require_nonnegative("kinetic_energy", self.kinetic_energy)
 
 
-@dataclass(frozen=True)
+@value_class
 class ActionIndex:
     """Accumulated action expressed in whole quanta of h.
 

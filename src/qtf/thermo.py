@@ -21,8 +21,9 @@ agree to within a few percent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
+from ._value import value_class
 from .constants import get_consts
 from .errors import DomainError, require_nonnegative, require_positive
 
@@ -60,7 +61,7 @@ BIO_REFERENCE: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class ThermoQuery:
     """Inputs to the budget; defaults are the stated reference inputs."""
 
@@ -80,10 +81,12 @@ class ThermoQuery:
         require_nonnegative("energy_per_mode_per_frame", self.energy_per_mode_per_frame)
         # compute_budget's transition time; checked here to name the input
         if not math.isfinite(1.0 / self.frame_rate):
-            raise DomainError(f"1/frame_rate overflows: frame_rate {self.frame_rate!r}")
+            raise DomainError(
+                f"1/frame_rate overflows: frame_rate {self.frame_rate!r}", "frame_rate"
+            )
 
 
-@dataclass(frozen=True)
+@value_class
 class EnergyBudget:
     """All computed cost components for one query (SI units)."""
 
@@ -97,7 +100,7 @@ class EnergyBudget:
     dynamic_rate: float       # J/s
 
 
-@dataclass(frozen=True)
+@value_class
 class DiscrepancyRecord:
     """One computed-vs-stated comparison; flagged when the gap is > 10%."""
 

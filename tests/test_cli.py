@@ -798,7 +798,9 @@ class TestOverflowIsAConfigError:
     def test_accrual_step_count_overflow(self, tmp_path, capsys):
         config = {**ACCRUAL_CONFIG, "max_time_s": 1e308, "time_step_s": 0.01}
         err = self.run_config(tmp_path, capsys, config)
-        assert "max_time/time_step overflows" in err
+        assert err == (
+            "qtf: error: max_time/time_step overflows: max_time_s 1e+308, time_step_s 0.01\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_overflowing_budget(self, fmt):
@@ -818,7 +820,7 @@ class TestOverflowIsAConfigError:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.splitlines() == [
-            "qtf: error: 1/frame_rate overflows: frame_rate 1e-320"
+            "qtf: error: 1/frame_rate overflows: --fps 1e-320"
         ]
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -834,7 +836,9 @@ class TestOverflowIsAConfigError:
         assert not proc.stdout
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith("qtf: error: accrual run of 1000000000000000 steps")
-        assert line.endswith("exceeds the cap of 100000000 steps (max_time/time_step)")
+        assert line.endswith(
+            "exceeds the cap of 100000000 steps: max_time_s 1000000000000.0, time_step_s 0.001"
+        )
 
 
 class TestNothingReadSilently:

@@ -2,10 +2,13 @@
 names and subcommand layers load on first use, and the process entry
 point freezes the import-time objects out of the collector."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 
 import qtf
 from conftest import HAS_BUILTIN_SHA256, SRC
-from qtf.tracks import fixture_path
+from qtf.tracks import TrackRecord, fixture_path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -239,3 +242,25 @@ def test_module_entry_point_freezes_the_collector():
         "runpy.run_module('qtf', run_name='__main__')\n"
     )
     assert frozen > 0
+
+
+def test_value_classes_compile_no_methods_of_their_own():
+    # @dataclass(frozen=True) compiles six methods per class at import;
+    # only TrackRecord, built once per track, keeps its generated ones
+    from qtf import _value
+
+    for module in pkgutil.iter_modules(qtf.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"qtf.{module.name}")
+    classes = [
+        value
+        for name, module in sys.modules.items() if name.startswith("qtf.")
+        for value in vars(module).values()
+        if isinstance(value, type) and is_dataclass(value)
+        and value.__module__ == name and value is not TrackRecord
+    ]
+    assert len(classes) >= 15
+    for cls in classes:
+        assert cls.__init__ is _value._init, cls
+        assert cls.__repr__ is _value._repr, cls
+        assert cls.__setattr__ is _value._setattr, cls
