@@ -17,6 +17,7 @@ reports.  ``QTF_SEED`` overrides the config seed for ``simulate``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -25,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .constants import constants_snapshot, get_paper_values, sci
@@ -602,12 +603,12 @@ def run() -> None:
     ``sys.argv``, exiting with its code.
 
     The objects built by the imports live until the process exits, so
-    they are frozen out of the garbage collector first: no collection,
-    including the ones at interpreter shutdown, walks them again.
+    they are frozen out of the garbage collector first: no collection
+    walks them again.
 
     A report that ``main`` could not write to stdout stays in its
     buffer; fd 1 is then pointed at the null device, so that the flush
-    at shutdown cannot fail again and turn exit 1 into 120.
+    at exit cannot fail again, nor a normal exit turn exit 1 into 120.
     """
     gc.freeze()
     code = main()
@@ -617,7 +618,27 @@ def run() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    sys.exit(code)
+    _exit_process(code)
+
+
+def _exit_process(code: int) -> NoReturn:
+    """End the process with ``code`` once its output is written.
+
+    The interpreter's teardown frees every object one by one, about
+    5 ms that no qtf process needs: so the atexit handlers run, stdout
+    and stderr are flushed, and the process ends with ``os._exit``.
+    Under a profiler or a tracer (a debugger, coverage) the process
+    exits normally, so that the tool sees the exit and writes its data.
+    """
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

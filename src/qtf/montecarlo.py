@@ -265,15 +265,33 @@ def censor_at_floor(
 
     Tracks retain their original ids; the censored count shows up as
     dropped rows in the returned dataset's provenance.
+
+    The indices are computed and the kept tracks gathered ``DRAW_BLOCK``
+    tracks at a time, into columns allocated at their final length, so
+    besides those only the keep mask and block-sized temporaries are held.
     """
+    from .rng import DRAW_BLOCK
     from .solvency import n_real_values
     from .tracks import TrackDataset
 
     require_positive("momentum", momentum)
     require_nonnegative("floor_n", floor_n)
-    keep = n_real_values(dataset.radii, momentum) >= floor_n
-    ids = dataset.ids[keep]
-    radii = dataset.radii[keep]
+    blocks = [slice(i, i + DRAW_BLOCK) for i in range(0, len(dataset), DRAW_BLOCK)]
+    keep = np.empty(len(dataset), dtype=bool)
+    for block in blocks:
+        indices = n_real_values(dataset.radii[block], momentum)
+        np.greater_equal(indices, floor_n, out=keep[block])
+    kept = int(np.count_nonzero(keep))
+    ids = np.empty(kept, dtype=np.int64)
+    radii = np.empty(kept)
+    filled = 0
+    for block in blocks:
+        index = np.flatnonzero(keep[block])
+        part = slice(filled, filled + index.size)
+        # in-range indices: "clip" takes them as they are, unbuffered
+        np.take(dataset.ids[block], index, out=ids[part], mode="clip")
+        np.take(dataset.radii[block], index, out=radii[part], mode="clip")
+        filled = part.stop
     ids.flags.writeable = False
     radii.flags.writeable = False
     return TrackDataset(
@@ -281,7 +299,7 @@ def censor_at_floor(
         radii=radii,
         source_label=f"{dataset.source_label}|floor={floor_n!r}",
         rows_read=len(dataset),
-        rows_dropped=len(dataset) - int(keep.sum()),
+        rows_dropped=len(dataset) - kept,
     )
 
 

@@ -73,14 +73,18 @@ def libm_apply(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
     output overlap without being the same memory; then its loop calls
     the C library once per element.  So the values are copied one slot
     up in an ``n + 1`` buffer, and each result is written one slot down,
-    over a value already read.  A test pins each function to ``math``
-    bit for bit, so a numpy that routes this call elsewhere fails it.
-    Floating-point errors follow the caller's ``np.errstate``.
+    over a value already read.  A single value would not overlap its
+    output slot, so it goes in twice.  A test pins each function to
+    ``math`` bit for bit, so a numpy that routes this call elsewhere
+    fails it.  Floating-point errors follow the caller's ``np.errstate``.
     """
+    n = values.size
+    if n == 1:
+        values = np.concatenate((values, values))
     buf = np.empty(values.size + 1)
     buf[1:] = values
     ufunc(buf[1:], out=buf[:-1])
-    return buf[:-1]
+    return buf[:n]
 
 
 def _counters(start: int, n: int, step: int) -> np.ndarray:

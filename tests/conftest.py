@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # let a bare checkout run pytest without installing first
@@ -41,6 +43,20 @@ def run_cli(
         cwd=cwd,
         timeout=timeout,
     )
+
+
+@pytest.fixture(autouse=True)
+def _run_exits_by_raising(monkeypatch):
+    """``qtf.cli.run()`` ends its process once the report is written,
+    with ``os._exit``: called in a test it would end pytest itself,
+    with exit status 0.  Here it raises ``SystemExit(code)`` instead,
+    and pytest's own atexit handlers are not run."""
+    import qtf.cli
+
+    def raise_exit(code: int):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(qtf.cli, "_exit_process", raise_exit)
 
 
 _ACCEPTANCE_RE = re.compile(r"test_acceptance\.py::test_c(\d+)")

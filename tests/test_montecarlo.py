@@ -24,8 +24,8 @@ from qtf.montecarlo import (
     sweep_prediction_1,
 )
 from qtf.rng import DRAW_BLOCK, std_normal, unit_uniform
-from qtf.solvency import action_index
-from qtf.tracks import parse_dataset
+from qtf.solvency import action_index, n_real_values
+from qtf.tracks import TrackDataset, parse_dataset
 
 # Frozen before the build: 3 * 5.05e-3 / sqrt(228)
 MOMENT_MATCH_BOUND = 1.0033332604767707e-3
@@ -229,6 +229,25 @@ def test_generate_tracks_peak_memory_is_near_its_two_columns():
     assert peak < 2.5 * 8 * n
 
 
+# A censor run at the benchmark's derived momentum and floor keeps about
+# 62% of the tracks of the fixture's lognormal.
+CENSOR_MOMENTUM = 1.0316825093021593e-19
+CENSOR_FLOOR_N = 5e12
+
+
+def censor_by_mask(dataset, floor_n, momentum):
+    """``censor_at_floor`` as one boolean-mask gather over the whole
+    dataset, the reference for its blocked gather."""
+    keep = n_real_values(dataset.radii, momentum) >= floor_n
+    return TrackDataset(
+        ids=dataset.ids[keep],
+        radii=dataset.radii[keep],
+        source_label=f"{dataset.source_label}|floor={floor_n!r}",
+        rows_read=len(dataset),
+        rows_dropped=len(dataset) - int(keep.sum()),
+    )
+
+
 class TestCensor:
     def test_zero_floor_keeps_everything(self):
         ds = generate_tracks(config())
@@ -282,6 +301,41 @@ class TestCensor:
         n = action_index(1.0, 1e-22).n_real
         assert censor_at_floor(ds, n, 1e-22).records == ds.records
         assert censor_at_floor(ds, math.nextafter(n, math.inf), 1e-22).records == ()
+
+    @given(
+        seed=SEEDS,
+        n=st.sampled_from([1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 1]),
+        floor=st.one_of(
+            st.sampled_from(["all", "none"]),
+            st.tuples(st.just("track"), st.floats(min_value=0.0, max_value=1.0)),
+        ),
+        recensor=st.booleans(),
+    )
+    @example(seed=0, n=2 * DRAW_BLOCK + 1, floor=("track", 0.5), recensor=True)
+    @settings(deadline=None, max_examples=60)
+    def test_blocked_gather_equals_one_mask_gather(self, seed, n, floor, recensor):
+        ds = generate_tracks(config(seed=seed, n=n))
+        if recensor:  # ids no longer contiguous
+            ds = censor_at_floor(ds, CENSOR_FLOOR_N, CENSOR_MOMENTUM)
+        indices = n_real_values(ds.radii, CENSOR_MOMENTUM)
+        if floor == "all":
+            floor_n = 0.0
+        elif floor == "none":
+            floor_n = 1e300
+        else:  # sitting on one track's index
+            floor_n = float(indices[int(floor[1] * (len(ds) - 1))]) if len(ds) else 1.0
+        censored = censor_at_floor(ds, floor_n, CENSOR_MOMENTUM)
+        expected = censor_by_mask(ds, floor_n, CENSOR_MOMENTUM)
+        assert censored.ids.dtype == np.int64 and censored.radii.dtype == np.float64
+        assert censored.ids.tolist() == expected.ids.tolist()
+        assert censored.radii.view(np.uint64).tolist() == expected.radii.view(np.uint64).tolist()
+        assert censored.rows_read == expected.rows_read
+        assert censored.rows_dropped == expected.rows_dropped
+        assert type(censored.rows_dropped) is int  # as json writes it
+        assert censored.source_label == expected.source_label
+        for column in (censored.ids, censored.radii):
+            assert not column.flags.writeable
+            assert column.base is None
 
 
 class TestAccrual:

@@ -159,6 +159,18 @@ def test_libm_apply_is_the_c_library_function(name):
             )
 
 
+@pytest.mark.parametrize("name", sorted(LIBM_INPUTS))
+def test_libm_apply_on_one_value_is_the_c_library_function(name):
+    # one value alone does not overlap its output slot, which would send
+    # it to numpy's SIMD loop, an ulp off for some values (exp(3.625)
+    # with numpy 2.4.6 on x86-64); a run of n = k * DRAW_BLOCK + 1
+    # draws ends on a one-value block
+    ufunc, fn = getattr(np, name), getattr(math, name)
+    for x in [3.625, *LIBM_INPUTS[name][:3000].tolist()]:
+        [y] = libm_apply(ufunc, np.array([x])).tolist()
+        assert y == fn(x), (name, x)
+
+
 # Sizes numpy refuses before it allocates anything (from 2**63 - 1 on,
 # np.arange gives an empty range for them), and a negative one.
 HUGE_SIZES = [2**61, 2**62, 2**63 - 1, 2**63, 2**64 - 2, -1]
