@@ -126,7 +126,27 @@ class _Parser(argparse.ArgumentParser):
 
     argparse also drops an ``OSError`` from writing ``--help`` or
     ``--version``; here it reaches ``main``, which exits 1 on it.
+
+    A flag is spelled in full: argparse's prefix matching is off, here
+    and in each subparser, which argparse builds as this class.  Any
+    argument that ``float()`` reads, such as ``-1e5`` or ``-inf``, is a
+    value, not an unknown option, so a negative flag value in any
+    spelling reaches the domain check.  argparse itself takes only
+    ``-1`` and ``-.5`` for negative numbers; its matcher is private.
     """
+
+    class _Number:
+        @staticmethod
+        def match(arg: str) -> bool:
+            try:
+                float(arg)
+            except ValueError:
+                return False
+            return True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = self._Number
 
     def error(self, message: str) -> None:
         self.exit(1, _error_line(message))
@@ -530,6 +550,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
 # ---------------------------------------------------------------------------
 
 
+def _out_path(value: str) -> str:
+    """The value of ``--out``.  An empty one, as an unset shell variable
+    gives, is a usage error rather than a quiet write to stdout."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qtf", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qtf {__version__}")
@@ -537,7 +565,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="dump the constants snapshot")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("analyze", help="run the track pipeline on a radius file")
@@ -548,7 +576,7 @@ def _build_parser() -> _Parser:
         "--floor", type=float, default=get_paper_values().floor_n, help="action floor n"
     )
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("budget", help="compute the energy budget and audit")
@@ -556,13 +584,13 @@ def _build_parser() -> _Parser:
     for flag, (field, help_text) in _BUDGET_FLAGS.items():
         p.add_argument(flag, type=float, default=getattr(stated, field), help=help_text)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("simulate", help="run a simulation from a JSON config")
     p.add_argument("config", help="JSON config file (see README for keys)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -586,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(_error_line(str(exc)))
         return 1
     try:
-        if args.out:
+        if args.out is not None:
             Path(args.out).write_text(report, encoding="utf-8")
         else:
             sys.stdout.write(report)

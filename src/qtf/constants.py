@@ -13,8 +13,9 @@ tiers are kept deliberately separate:
   unless a caller explicitly selects them (e.g. the ``paper-stated``
   momentum source).
 
-Both are exported in a machine-readable snapshot (``data/constants.json``)
-so the transcription itself is auditable.
+Both are exported in a machine-readable snapshot, printed by
+``qtf constants --format json``, so the transcription itself is
+auditable.
 """
 
 from __future__ import annotations

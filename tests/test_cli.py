@@ -70,7 +70,7 @@ class TestExitCodes:
         [
             (["budget", "--temperature", "abc"],
              "argument --temperature: invalid float value: 'abc'"),
-            (["analyze", FIXTURE, "--floor", "-inf"], "argument --floor: expected one argument"),
+            (["analyze", FIXTURE, "--floor", "-x"], "argument --floor: expected one argument"),
             ([], "the following arguments are required: subcommand"),
             (["budget", "--temperature=--"], "argument --temperature: expected one argument"),
             (["budget", "--out=--"], "argument --out: expected one argument"),

@@ -1,11 +1,8 @@
-import json
 import math
-from pathlib import Path
 
 import pytest
 
-import qtf
-from qtf.constants import PhysConsts, constants_snapshot, get_consts, get_paper_values
+from qtf.constants import PhysConsts, get_consts, get_paper_values
 
 
 def test_hbar_is_h_over_two_pi():
@@ -60,12 +57,6 @@ def test_paper_values_transcription():
     assert p.n_mean == 2.29e13
     assert p.alpha_mass == 6.644e-27
     assert p.alpha_energy == 8.01e-13
-
-
-def test_snapshot_file_matches_runtime_values():
-    # transcription audit: the checked-in JSON is the source of truth
-    snapshot = Path(qtf.__file__).parent / "data" / "constants.json"
-    assert json.loads(snapshot.read_text("utf-8")) == constants_snapshot()
 
 
 def test_stated_momentum_disagrees_with_derived_momentum():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fixture_builder import fixture_text, synthetic_radii_mm
 from qtf.errors import DataError, DomainError
 from qtf.solvency import ParticleSpec, action_index
 from qtf.tracks import (
@@ -14,12 +15,10 @@ from qtf.tracks import (
     compute_stats,
     emit_summary,
     fixture_path,
-    fixture_text,
     parse_dataset,
     report_to_dict,
     sci,
     solvency_report,
-    synthetic_radii_mm,
 )
 
 # Frozen hand oracle: population sigma of [1, 2, 3] is sqrt(2/3).

@@ -5,10 +5,19 @@ Each class made by ``qtf._value.value_class`` is compared with the class
 defaults, ``__post_init__`` and other methods.  Signature, repr,
 equality, hashing, the ``dataclasses`` helpers, argument errors and
 frozenness must all agree.
+
+``value_class_check.py`` makes the same comparison on classes of its
+own with the standard library only; it runs here under this interpreter
+and under each Python 3.10, 3.12 and 3.13 that it finds.
 """
 
 import copy
+import glob
 import inspect
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import (
     FrozenInstanceError,
     asdict,
@@ -18,6 +27,7 @@ from dataclasses import (
     is_dataclass,
     replace,
 )
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +259,46 @@ def test_a_method_of_its_own_is_refused():
 
             def __repr__(self):
                 return "odd"
+
+
+VALUE_CLASS_CHECK = Path(__file__).with_name("value_class_check.py")
+
+
+def _interpreter(version: str) -> str | None:
+    """A ``python<version>`` that starts and reports that version: on
+    PATH, or in pyenv's version directories, since a pyenv shim fails to
+    start a version that is not selected."""
+    pattern = os.path.expanduser(f"~/.pyenv/versions/{version}.*/bin/python3")
+    for path in filter(None, [shutil.which(f"python{version}"), *sorted(glob.glob(pattern))]):
+        try:
+            proc = subprocess.run(
+                [path, "-I", "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == version:
+            return path
+    return None
+
+
+def _run_value_class_check(python: str) -> None:
+    # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the loaded _value.py
+    # from leaving bytecode in the source tree
+    proc = subprocess.run(
+        [python, "-I", "-B", str(VALUE_CLASS_CHECK)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: value_class matches"), proc.stdout
+
+
+def test_value_class_check_passes_here():
+    _run_value_class_check(sys.executable)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_value_class_check_passes_on_other_versions(version):
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no python{version} that starts, on PATH or in ~/.pyenv/versions")
+    _run_value_class_check(python)
