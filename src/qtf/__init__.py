@@ -71,7 +71,6 @@ _EXPORTS = {
     "tracks": (
         "SolvencyReport",
         "TrackDataset",
-        "TrackRecord",
         "TrackStats",
         "compute_stats",
         "emit_summary",

@@ -12,10 +12,6 @@ equality, hashing and ``__post_init__`` behave as under
 ``dataclass(frozen=True)``, and ``dataclasses.fields``, ``asdict`` and
 ``replace`` accept the classes; ``tests/test_values.py`` checks each
 class against the stdlib decorator.
-
-A class built once per element of a large input is better served by
-``dataclass``'s generated ``__init__``, which avoids the generic
-argument handling here.
 """
 
 from __future__ import annotations

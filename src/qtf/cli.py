@@ -252,17 +252,16 @@ def cmd_budget(args: argparse.Namespace) -> tuple[dict, dict | str]:
     return manifest, "\n".join(lines) + "\n"
 
 
-def _require_keys(
-    config: dict, required: set[str], optional: set[str] | frozenset[str] = frozenset()
-) -> None:
+def _require_keys(config: dict, required: set[str],
+                  optional: set[str] | frozenset[str] = frozenset(), path: str = "") -> None:
     """Every key of ``required`` is present and no key is outside
-    ``required | optional``."""
+    ``required | optional``; an error names each key after ``path``."""
     missing = required - config.keys()
     unknown = config.keys() - required - optional
     if missing:
-        raise DomainError(f"config missing keys: {sorted(missing)}")
+        raise DomainError(f"config missing keys: {sorted(path + k for k in missing)}")
     if unknown:
-        raise DomainError(f"config has unknown keys: {sorted(unknown)}")
+        raise DomainError(f"config has unknown keys: {sorted(path + k for k in unknown)}")
 
 
 def _config_int(config: dict, key: str) -> int:
@@ -341,7 +340,7 @@ def _build(make, config: dict, table: dict[str, str], path: str = "",
     """``make`` called with the values of ``table``'s keys in ``config``,
     which holds those keys and ``keys`` and no other, and with ``fixed``;
     its errors name the keys after ``path``."""
-    _require_keys(config, table.keys() | keys)
+    _require_keys(config, table.keys() | keys, path=path)
     values = {param: _config_float(config, key, path) for key, param in table.items()}
     with _caller_names(table, path):
         return make(**values, **fixed)
@@ -561,7 +560,8 @@ def _out_path(value: str) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qtf", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qtf {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # not required: main reports a missing subcommand after an unknown flag
+    sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("constants", help="dump the constants snapshot")
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -600,11 +600,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.subcommand is None:
+            parser.error("the following arguments are required: subcommand")
     except SystemExit as exc:  # a usage error, --help or --version
         return exc.code
     except OSError as exc:
         sys.stderr.write(_error_line(f"cannot write standard output: {exc}"))
         return 1
+    try:
+        return _run(args)
+    except MemoryError:
+        pass  # reported once the traceback, and the run's frames, are gone
+    sys.stderr.write(_error_line(f"out of memory running {args.subcommand}"))
+    return 1
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand and write its report; the exit code."""
     try:
         report = _render(*args.func(args))
     except DataError as exc:
@@ -615,7 +627,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.out is not None:
-            Path(args.out).write_text(report, encoding="utf-8")
+            # encoded before the file is opened: out of memory leaves it as it was
+            Path(args.out).write_bytes(report.encode("utf-8"))
         else:
             sys.stdout.write(report)
             sys.stdout.flush()

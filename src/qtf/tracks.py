@@ -19,7 +19,6 @@ published values by construction; :func:`fixture_path` locates it, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +37,6 @@ _MOMENTUM_ALIASES = {
     "derived": MOMENTUM_DERIVED,
     MOMENTUM_DERIVED: MOMENTUM_DERIVED,
 }
-
-
-# Built once per track, so it keeps dataclass's generated __init__,
-# about 3x faster than value_class's shared one.
-@dataclass(frozen=True)
-class TrackRecord:
-    """One cleaned observation: ordinal id and radius in meters."""
-
-    id: int
-    radius: float
 
 
 def _read_only(values, dtype: type) -> np.ndarray:
@@ -112,9 +101,11 @@ class TrackDataset:
         )
 
     @property
-    def records(self) -> tuple[TrackRecord, ...]:
-        """The tracks as records, built on every access (not for hot paths)."""
-        return tuple(map(TrackRecord, self.ids.tolist(), self.radii.tolist()))
+    def records(self) -> tuple[tuple[int, float], ...]:
+        """The tracks as ``(id, radius)`` pairs, built on every access; only
+        ``bench/spans.py`` reads them, to count tracks, and they go once it
+        counts with ``len(dataset)``."""
+        return tuple(zip(self.ids.tolist(), self.radii.tolist()))
 
 
 @value_class

@@ -108,18 +108,20 @@ def test_c08_floor_property_over_randomized_censoring_runs():
         )
         dataset = generate_tracks(config)
         momentum = 10 ** rng.uniform(-20.0, -18.0)
-        ns = [action_index(r.radius, momentum).n_real for r in dataset.records]
+        radii = dataset.radii.tolist()
+        ns = [action_index(r, momentum).n_real for r in radii]
         floor = rng.uniform(0.5 * min(ns), 2.0 * max(ns))
         censored = censor_at_floor(dataset, floor, momentum)
         # zero retained tracks below the floor
-        for rec in censored.records:
-            n_real = action_index(rec.radius, momentum).n_real
+        for radius in censored.radii.tolist():
+            n_real = action_index(radius, momentum).n_real
             assert n_real >= floor, f"run {run}: {n_real} < {floor}"
         # censored set equals the brute-force filter exactly
-        expected = tuple(
-            rec for rec, value in zip(dataset.records, ns) if value >= floor
-        )
-        assert censored.records == expected, f"run {run}: censor mismatch"
+        kept = [value >= floor for value in ns]
+        expected_ids = [i for i, k in zip(dataset.ids.tolist(), kept) if k]
+        expected_radii = [r for r, k in zip(radii, kept) if k]
+        assert censored.ids.tolist() == expected_ids, f"run {run}: censor mismatch"
+        assert censored.radii.tolist() == expected_radii, f"run {run}: censor mismatch"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"{runs} runs took {elapsed:.1f}s"
 

@@ -1023,6 +1023,32 @@ def test_input_error_names_what_the_caller_wrote(tmp_path, capsys, case):
     assert captured.err == f"qtf: error: {message}\n"
 
 
+NESTED_OBJECTS = {
+    "moments": ("distribution", {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3}),
+    "uniform": ("distribution", {"kind": "uniform", "lo_m": 1e-3, "hi_m": 2e-2}),
+    "particle": ("particle", {"mass_kg": 6.64e-27, "kinetic_energy_j": 8.01e-13}),
+}
+
+
+@pytest.mark.parametrize("problem", ["missing", "unknown"])
+@pytest.mark.parametrize("case", NESTED_OBJECTS)
+def test_a_nested_key_error_names_its_object(tmp_path, capsys, case, problem):
+    # the top-level forms, without a prefix, are pinned above
+    name, spec = NESTED_OBJECTS[case]
+    if problem == "missing":
+        key = list(spec)[-1]
+        spec = {k: v for k, v in spec.items() if k != key}
+    else:
+        key = "extra"
+        spec = {**spec, key: 1.0}
+    config = write_config(tmp_path, {**CENSOR_CONFIG, name: spec})
+    assert qtf.cli.main(["simulate", config]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    words = "missing keys" if problem == "missing" else "has unknown keys"
+    assert captured.err == f"qtf: error: config {words}: [{name + '.' + key!r}]\n"
+
+
 def test_zero_momentum_censor_draws_no_track(tmp_path, monkeypatch):
     # tracks mode keeps drawing at zero momentum; censor refuses it first
     def draw(sim):

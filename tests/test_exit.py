@@ -3,6 +3,7 @@
 ``run()`` ends the process at its last write: it runs the atexit
 handlers, flushes stdout and stderr, and calls ``os._exit`` with the
 code of ``main()``.  Under a profiler or a tracer it exits normally.
+A run that runs out of memory ends in one error line and exit 1.
 """
 
 import json
@@ -148,3 +149,72 @@ def test_cprofile_writes_its_profile(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["constants"]
     assert profile.stat().st_size > 0
+
+
+# A child imports what a run loads, then limits its own address space to
+# its size at that point plus ``headroom`` bytes and runs the call, so the
+# limit follows each host's baseline and acts on that child alone.  With
+# 8 MB a 2e5-row analyze runs out while parsing; with 16 MB the 2e5-track
+# censor run draws its tracks and runs out building the csv rows or the
+# json body.
+OOM_CHILD = """
+import resource, sys
+import qtf.cli, qtf.montecarlo, qtf.tracks
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, hard))
+sys.argv = ["qtf", *{argv!r}]
+qtf.cli.run()
+"""
+
+
+@pytest.fixture(scope="module")
+def large_radii(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "radii.csv"
+    rows = (repr(1 + i * 7919 % 20_000 / 1000) for i in range(200_000))
+    path.write_text("radius_mm\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, headroom_mb",
+    [("analyze-text", 8), ("censor-csv", 16), ("censor-json-out", 16)],
+)
+def test_out_of_memory_is_one_error_line(
+    tmp_path, large_radii, large_config, case, headroom_mb
+):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs resource.RLIMIT_AS and /proc/self/statm")
+    out = tmp_path / "report.json"
+    out.write_bytes(b"previous\n")
+    argv = {
+        "analyze-text": ["analyze", large_radii, "--format", "text"],
+        "censor-csv": ["simulate", large_config, "--format", "csv"],
+        "censor-json-out": ["simulate", large_config, "--out", str(out)],
+    }[case]
+    proc = run_python("-c", OOM_CHILD.format(headroom=headroom_mb * 2**20, argv=argv))
+    assert proc.returncode == 1
+    [line] = proc.stderr.decode().splitlines()
+    assert line == f"qtf: error: out of memory running {argv[0]}"
+    assert proc.stdout == b""
+    assert out.read_bytes() == b"previous\n"
+
+
+class _Unencodable(str):
+    def encode(self, *args, **kwargs):
+        raise MemoryError
+
+
+def test_out_file_keeps_its_bytes_when_the_report_cannot_be_encoded(
+    tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"previous\n")
+    monkeypatch.setattr(qtf.cli, "_render", lambda *parts: _Unencodable("report\n"))
+    assert qtf.cli.main(["constants", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qtf: error: out of memory running constants\n"
+    assert out.read_bytes() == b"previous\n"

@@ -80,7 +80,14 @@ def test_a_flag_prefix_is_a_usage_error(capsys, argv):
 
 
 def test_a_prefix_of_version_is_a_usage_error(capsys):
-    _one_error_line(capsys, ["--vers"])
+    err = _one_error_line(capsys, ["--vers"])
+    assert err == "qtf: error: unrecognized arguments: --vers\n"
+
+
+@pytest.mark.parametrize("argv", [["--bogus"], ["--bogus", "constants"], ["constants", "--bogus"]])
+def test_an_unknown_flag_is_named_wherever_it_stands(capsys, argv):
+    err = _one_error_line(capsys, argv)
+    assert err == "qtf: error: unrecognized arguments: --bogus\n"
 
 
 @pytest.mark.parametrize("value", ["-x", "-e5", "-1e", "--5"])

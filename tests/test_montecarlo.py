@@ -248,29 +248,33 @@ def censor_by_mask(dataset, floor_n, momentum):
     )
 
 
+def columns(dataset):
+    """A dataset's tracks as ``(ids, radii)`` lists."""
+    return dataset.ids.tolist(), dataset.radii.tolist()
+
+
 class TestCensor:
     def test_zero_floor_keeps_everything(self):
         ds = generate_tracks(config())
-        assert censor_at_floor(ds, 0.0, 3.26e-19).records == ds.records
+        assert columns(censor_at_floor(ds, 0.0, 3.26e-19)) == columns(ds)
 
     def test_floor_above_all_empties(self):
         ds = generate_tracks(config())
         censored = censor_at_floor(ds, 1e300, 3.26e-19)
-        assert censored.records == ()
-        assert censored.rows_dropped == len(ds.records)
+        assert len(censored) == 0
+        assert censored.rows_dropped == len(ds)
 
     def test_matches_brute_force(self):
         rng = random.Random(1)
         for _ in range(50):
             ds = generate_tracks(config(seed=rng.randrange(2**32), n=rng.randint(1, 60)))
             momentum = 10 ** rng.uniform(-20, -18)
-            ns = [action_index(r.radius, momentum).n_real for r in ds.records]
+            ns = [action_index(r, momentum).n_real for r in ds.radii.tolist()]
             floor = rng.choice(ns) if rng.random() < 0.5 else rng.uniform(min(ns), max(ns))
             censored = censor_at_floor(ds, floor, momentum)
-            expected = tuple(
-                rec for rec, n in zip(ds.records, ns) if n >= floor
-            )
-            assert censored.records == expected
+            kept = [n >= floor for n in ns]
+            assert censored.ids.tolist() == [i for i, k in zip(ds.ids.tolist(), kept) if k]
+            assert censored.radii.tolist() == [r for r, k in zip(ds.radii.tolist(), kept) if k]
 
     def test_rejects_nonpositive_momentum(self):
         ds = generate_tracks(config(n=2))
@@ -286,21 +290,21 @@ class TestCensor:
     def test_keeps_track_above_floor(self):
         ds = parse_dataset("6.67e-3", unit="m")
         assert action_index(6.67e-3, 3.26e-19).n_real > 1e12
-        assert censor_at_floor(ds, 1e12, 3.26e-19).records == ds.records
+        assert columns(censor_at_floor(ds, 1e12, 3.26e-19)) == columns(ds)
 
     def test_drops_track_below_floor(self):
         ds = parse_dataset("1.0", unit="m")
         assert action_index(1.0, 9.9e-23).n_real < 1e12  # n_real ~ 9.4e11
         censored = censor_at_floor(ds, 1e12, 9.9e-23)
-        assert censored.records == ()
+        assert len(censored) == 0
         assert censored.rows_dropped == 1
 
     def test_floor_boundary_is_inclusive(self):
         # a track sitting exactly on the floor is kept; one ulp above drops it
         ds = parse_dataset("1.0", unit="m")
         n = action_index(1.0, 1e-22).n_real
-        assert censor_at_floor(ds, n, 1e-22).records == ds.records
-        assert censor_at_floor(ds, math.nextafter(n, math.inf), 1e-22).records == ()
+        assert columns(censor_at_floor(ds, n, 1e-22)) == columns(ds)
+        assert len(censor_at_floor(ds, math.nextafter(n, math.inf), 1e-22)) == 0
 
     @given(
         seed=SEEDS,
@@ -611,7 +615,7 @@ class TestKs:
         for _ in range(50):
             a = generate_tracks(config(seed=rng.randrange(2**32), n=rng.randint(1, 300)))
             b = censor_at_floor(a, rng.uniform(0.0, 3e13), 3.26e-19)
-            if not b.records:
+            if not len(b):
                 continue
             assert ks_statistic(a, b) == ks_merge_oracle(a, b)
 

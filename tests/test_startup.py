@@ -16,7 +16,7 @@ import pytest
 
 import qtf
 from conftest import HAS_BUILTIN_SHA256, SRC
-from qtf.tracks import TrackRecord, fixture_path
+from qtf.tracks import fixture_path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -246,7 +246,7 @@ def test_module_entry_point_freezes_the_collector():
 
 def test_value_classes_compile_no_methods_of_their_own():
     # @dataclass(frozen=True) compiles six methods per class at import;
-    # only TrackRecord, built once per track, keeps its generated ones
+    # every dataclass in qtf is a value_class, sharing one set instead
     from qtf import _value
 
     for module in pkgutil.iter_modules(qtf.__path__):
@@ -257,7 +257,7 @@ def test_value_classes_compile_no_methods_of_their_own():
         for name, module in sys.modules.items() if name.startswith("qtf.")
         for value in vars(module).values()
         if isinstance(value, type) and is_dataclass(value)
-        and value.__module__ == name and value is not TrackRecord
+        and value.__module__ == name
     ]
     assert len(classes) >= 15
     for cls in classes:

@@ -11,7 +11,6 @@ from qtf.errors import DataError, DomainError
 from qtf.solvency import ParticleSpec, action_index
 from qtf.tracks import (
     TrackDataset,
-    TrackRecord,
     compute_stats,
     emit_summary,
     fixture_path,
@@ -63,24 +62,24 @@ def oracle_stats(values):
 class TestParse:
     def test_mixed_rows(self):
         ds = make(["5.0", "", "abc", "12.5"])
-        assert [r.radius for r in ds.records] == [0.005, 0.0125]
+        assert ds.radii.tolist() == [0.005, 0.0125]
         assert ds.rows_read == 4
         assert ds.rows_dropped == 2
-        assert [r.id for r in ds.records] == [1, 2]
+        assert ds.ids.tolist() == [1, 2]
 
     def test_millimeter_conversion(self):
         ds = make(["6.67"])
-        assert ds.records[0].radius == 6.67e-3
+        assert ds.radii[0] == 6.67e-3
 
     def test_meter_unit(self):
         ds = make(["6.67"], unit="m")
-        assert ds.records[0].radius == 6.67
+        assert ds.radii[0] == 6.67
 
     def test_nonpositive_rows_rejected(self):
         with pytest.raises(DataError):
             make(["-3.0"])
         ds = make(["-3.0", "0", "2.0"])
-        assert len(ds.records) == 1
+        assert len(ds) == 1
         assert ds.rows_dropped == 2
 
     def test_header_autodetected(self):
@@ -91,11 +90,11 @@ class TestParse:
     def test_comments_ignored(self):
         ds = make(["# a comment", "5.0", "# another", "6.0"])
         assert ds.rows_read == 2
-        assert len(ds.records) == 2
+        assert len(ds) == 2
 
     def test_non_finite_rows_dropped(self):
         ds = make(["inf", "nan", "5.0"])
-        assert len(ds.records) == 1
+        assert len(ds) == 1
         assert ds.rows_dropped == 2
 
     @pytest.mark.parametrize("row", ["1_5", "١٢", "1_000.5", "１２", "5e1_0"])
@@ -148,8 +147,8 @@ class TestParse:
         # mm parsing is exactly the meter parse divided by 1e3
         as_m = parse_dataset("\n".join(rows), unit="m")
         as_mm = parse_dataset("\n".join(rows), unit="mm")
-        for rm, rmm in zip(as_m.records, as_mm.records):
-            assert rmm.radius == rm.radius / 1e3
+        for rm, rmm in zip(as_m.radii.tolist(), as_mm.radii.tolist()):
+            assert rmm == rm / 1e3
 
 
 class TestColumnarDataset:
@@ -215,12 +214,12 @@ class TestColumnarDataset:
         assert make(["5.0", "6.0"]) != make(["5.0", "6.5"])
         assert make(["5.0", "6.0"]) != make(["5.0", "6.0", "x"])  # one row dropped
         assert make(["5.0"]) != parse_dataset("5.0", unit="mm", source_label="other")
-        assert make(["5.0"]) != (TrackRecord(id=1, radius=5e-3),)
 
     def test_records_are_derived_from_the_columns(self):
         ds = make(["5.0", "abc", "6.0"])
-        assert ds.records == (TrackRecord(id=1, radius=5e-3), TrackRecord(id=2, radius=6e-3))
-        assert len(ds) == len(ds.records) == 2
+        assert ds.records == tuple(zip(ds.ids.tolist(), ds.radii.tolist()))
+        assert ds.records == ((1, 5e-3), (2, 6e-3))
+        assert len(ds) == len(ds) == 2
 
     def test_report_indices_are_read_only_and_match_action_index(self):
         report = solvency_report(load_fixture())
