@@ -1,16 +1,17 @@
 """Collapse-solvency calculus, energy budgets, track statistics, and
 seeded Monte Carlo harnesses.
 
-The public names below are loaded on first access (PEP 562), so that a
-process imports only the layers it uses: ``qtf budget`` never loads the
-track pipeline or the Monte Carlo harness.
+Each public name is imported from the module that defines it, such as
+``from qtf.tracks import parse_dataset``, so that a process loads only
+the layers it uses: ``qtf budget`` never loads the track pipeline or the
+Monte Carlo harness.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
+__all__ = ["__version__"]
 
-import importlib
 import os
 import sys
 
@@ -30,68 +31,3 @@ try:
 finally:
     if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
-
-# Defining module of each public name.
-_EXPORTS = {
-    "constants": ("PaperValues", "PhysConsts", "get_consts", "get_paper_values"),
-    "errors": ("DataError", "DomainError", "QtfError"),
-    "montecarlo": (
-        "AccrualConfig",
-        "AccrualOutcome",
-        "Lognormal",
-        "SimConfig",
-        "Uniform",
-        "censor_at_floor",
-        "generate_tracks",
-        "ks_statistic",
-        "lognormal_from_moments",
-        "run_accrual",
-        "sweep_prediction_1",
-    ),
-    "solvency": (
-        "ActionIndex",
-        "ParticleSpec",
-        "action_index",
-        "momentum_from_energy",
-    ),
-    "thermo": (
-        "DiscrepancyRecord",
-        "EnergyBudget",
-        "ThermoQuery",
-        "asymmetry_ratio",
-        "audit_against_paper",
-        "coherence_cost",
-        "compute_budget",
-        "decoherence_rate",
-        "dynamic_rendering_rate",
-        "landauer_cost",
-        "min_sustain_energy",
-        "ml_bound",
-    ),
-    "tracks": (
-        "SolvencyReport",
-        "TrackDataset",
-        "TrackStats",
-        "compute_stats",
-        "emit_summary",
-        "parse_dataset",
-        "solvency_report",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *sorted(_MODULE_OF)]
-
-
-def __getattr__(name: str):
-    try:
-        module = _MODULE_OF[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

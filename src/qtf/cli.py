@@ -6,7 +6,7 @@ can consume JSON cleanly.  Exit codes: 0 success, 1 usage/config error
 or a report that cannot be written, 2 data error.
 
 All of qtf's file I/O is here: ``_read_bytes`` reads every input file
-and ``main`` writes every report.
+and ``_run`` writes every report.
 
 Every report embeds a run manifest (tool version, subcommand, resolved
 configuration, content digest of the input, seed) and contains no
@@ -353,7 +353,7 @@ def _parse_distribution(spec: dict) -> Lognormal | Uniform:
         raise DomainError("distribution must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "lognormal":
-        if _LOGNORMAL.keys() <= spec.keys():
+        if _LOGNORMAL.keys() & spec.keys():
             return _build(Lognormal, spec, _LOGNORMAL, "distribution.", {"kind"})
         return _build(lognormal_from_moments, spec, _MOMENTS, "distribution.", {"kind"})
     if kind == "uniform":
@@ -557,8 +557,15 @@ def _out_path(value: str) -> str:
     return value
 
 
+_DESCRIPTION = """Collapse-solvency indices of track radii, energy budgets and
+seeded Monte Carlo simulations. Each report goes to stdout, or to the --out
+file, and each error to stderr as one line. QTF_SEED overrides the seed of a
+simulate config. Exit status: 0 on success, 2 on a data error, 1 on any other
+error."""
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qtf", description=__doc__)
+    parser = _Parser(prog="qtf", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"qtf {__version__}")
     # not required: main reports a missing subcommand after an unknown flag
     sub = parser.add_subparsers(dest="subcommand")

@@ -231,8 +231,9 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
         ids = np.arange(1, config.n_tracks + 1)
     except DomainError:
         raise
-    except (ValueError, MemoryError):
-        # numpy refuses arrays past its index range with a ValueError
+    except ValueError:
+        # numpy refuses arrays past its index range with a ValueError; a
+        # MemoryError is a real shortage and reaches main's report of it
         raise DomainError(
             f"n_tracks {config.n_tracks} is too large to draw in memory"
         ) from None

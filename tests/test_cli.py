@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -115,6 +116,16 @@ class TestExitCodes:
     def test_help_and_version_return_0(self, capsys, flag):
         assert qtf.cli.main([flag]) == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "subcommand", [[], ["constants"], ["analyze"], ["budget"], ["simulate"]]
+    )
+    def test_help_shows_no_markup_or_private_name(self, capsys, subcommand):
+        # the module docstring is for the code's readers, not the help
+        assert qtf.cli.main([*subcommand, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "``" not in out
+        assert re.search(r"(?<![\w-])_\w", out) is None, out
 
     def test_bad_budget_domain_is_config_error(self):
         assert run_cli("budget", "--temperature", "-3").returncode == 1
@@ -1024,6 +1035,7 @@ def test_input_error_names_what_the_caller_wrote(tmp_path, capsys, case):
 
 
 NESTED_OBJECTS = {
+    "shape": ("distribution", {"kind": "lognormal", "mu": -5.0, "sigma": 0.6}),
     "moments": ("distribution", {"kind": "lognormal", "mean_m": 7.42e-3, "sd_m": 5.05e-3}),
     "uniform": ("distribution", {"kind": "uniform", "lo_m": 1e-3, "hi_m": 2e-2}),
     "particle": ("particle", {"mass_kg": 6.64e-27, "kinetic_energy_j": 8.01e-13}),

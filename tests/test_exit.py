@@ -154,9 +154,10 @@ def test_cprofile_writes_its_profile(tmp_path):
 # A child imports what a run loads, then limits its own address space to
 # its size at that point plus ``headroom`` bytes and runs the call, so the
 # limit follows each host's baseline and acts on that child alone.  With
-# 8 MB a 2e5-row analyze runs out while parsing; with 16 MB the 2e5-track
-# censor run draws its tracks and runs out building the csv rows or the
-# json body.
+# 8 MB a 2e5-row analyze runs out while parsing; with 2 MB the 2e5-track
+# censor run runs out drawing its tracks, a shortage and not a size
+# numpy refuses; with 16 MB it draws them and runs out building the csv
+# rows or the json body.
 OOM_CHILD = """
 import resource, sys
 import qtf.cli, qtf.montecarlo, qtf.tracks
@@ -179,7 +180,12 @@ def large_radii(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "case, headroom_mb",
-    [("analyze-text", 8), ("censor-csv", 16), ("censor-json-out", 16)],
+    [
+        ("analyze-text", 8),
+        ("censor-draw", 2),
+        ("censor-csv", 16),
+        ("censor-json-out", 16),
+    ],
 )
 def test_out_of_memory_is_one_error_line(
     tmp_path, large_radii, large_config, case, headroom_mb
@@ -191,6 +197,7 @@ def test_out_of_memory_is_one_error_line(
     out.write_bytes(b"previous\n")
     argv = {
         "analyze-text": ["analyze", large_radii, "--format", "text"],
+        "censor-draw": ["simulate", large_config, "--format", "text"],
         "censor-csv": ["simulate", large_config, "--format", "csv"],
         "censor-json-out": ["simulate", large_config, "--out", str(out)],
     }[case]

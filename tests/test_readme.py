@@ -25,7 +25,7 @@ def readme_code_block(heading: str, language: str) -> str:
 
 def test_library_surface_example_runs():
     code = readme_code_block("Library surface", "python")
-    assert "from qtf import" in code
+    assert "from qtf." in code
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(

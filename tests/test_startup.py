@@ -1,6 +1,7 @@
-"""Import-time behaviour: numpy's OpenBLAS loads with one thread, public
-names and subcommand layers load on first use, and the process entry
-point freezes the import-time objects out of the collector."""
+"""Import-time behaviour: numpy's OpenBLAS loads with one thread, each
+public name imports from its defining module, subcommand layers load on
+first use, and the process entry point freezes the import-time objects
+out of the collector."""
 
 import importlib
 import json
@@ -206,25 +207,46 @@ def test_fixture_path_loads_no_importlib_resources():
     assert loaded is False
 
 
-def test_public_names_load_on_first_access():
-    doc = run_python(
+def test_import_loads_no_qtf_module():
+    loaded = run_python(
         "import json, sys, qtf\n"
-        "before = sorted(m for m in sys.modules if m.startswith('qtf.'))\n"
-        "qtf.compute_stats\n"
-        "print(json.dumps({'before': before, 'after': 'qtf.tracks' in sys.modules}))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qtf.'))))\n"
     )
-    assert doc == {"before": [], "after": True}
+    assert loaded == []
+
+
+# The defining module of each name that ``qtf`` itself once re-exported.
+DEFINING_MODULES = {
+    "constants": ("PaperValues", "PhysConsts", "get_consts", "get_paper_values"),
+    "errors": ("DataError", "DomainError", "QtfError"),
+    "montecarlo": (
+        "AccrualConfig", "AccrualOutcome", "Lognormal", "SimConfig", "Uniform",
+        "censor_at_floor", "generate_tracks", "ks_statistic",
+        "lognormal_from_moments", "run_accrual", "sweep_prediction_1",
+    ),
+    "solvency": ("ActionIndex", "ParticleSpec", "action_index", "momentum_from_energy"),
+    "thermo": (
+        "DiscrepancyRecord", "EnergyBudget", "ThermoQuery", "asymmetry_ratio",
+        "audit_against_paper", "coherence_cost", "compute_budget",
+        "decoherence_rate", "dynamic_rendering_rate", "landauer_cost",
+        "min_sustain_energy", "ml_bound",
+    ),
+    "tracks": (
+        "SolvencyReport", "TrackDataset", "TrackStats", "compute_stats",
+        "emit_summary", "parse_dataset", "solvency_report",
+    ),
+}
 
 
 def test_every_public_name_resolves_to_its_defining_module():
-    assert qtf.__all__[0] == "__version__"
-    for name in qtf.__all__[1:]:
-        value = getattr(qtf, name)
-        assert value.__module__.startswith("qtf.")
-        assert getattr(sys.modules[value.__module__], name) is value
-        assert name in dir(qtf)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        qtf.no_such_name
+    assert qtf.__all__ == ["__version__"]
+    with pytest.raises(AttributeError, match="compute_stats"):
+        qtf.compute_stats
+    names = [(m, n) for m, names in DEFINING_MODULES.items() for n in names]
+    assert len(names) == 41
+    for module, name in names:
+        value = getattr(importlib.import_module(f"qtf.{module}"), name)
+        assert value.__module__ == f"qtf.{module}", name
 
 
 def test_import_loads_numpy_with_a_callers_blas_variable():
