@@ -146,10 +146,14 @@ class SimConfig:
     floor_n: float = get_paper_values().floor_n
 
     def __post_init__(self) -> None:
+        from .tracks import MAX_TRACKS
+
         if not _is_int(self.seed):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not (_is_int(self.n_tracks) and self.n_tracks >= 1):
-            raise DomainError(f"n_tracks must be an integer >= 1, got {self.n_tracks!r}")
+        if not (_is_int(self.n_tracks) and 1 <= self.n_tracks <= MAX_TRACKS):
+            raise DomainError(
+                f"n_tracks must be an integer in [1, {MAX_TRACKS}], got {self.n_tracks!r}"
+            )
         require_nonnegative("floor_n", self.floor_n)
 
 
@@ -223,20 +227,11 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     Track i + 1 gets draw i of the seed's stream, so identical configs
     produce identical datasets.
     """
-    from .tracks import TrackDataset
+    from .tracks import ID_DTYPE, TrackDataset
 
     dist = config.distribution
-    try:
-        radii = dist.sample(config.seed, config.n_tracks)
-        ids = np.arange(1, config.n_tracks + 1)
-    except DomainError:
-        raise
-    except ValueError:
-        # numpy refuses arrays past its index range with a ValueError; a
-        # MemoryError is a real shortage and reaches main's report of it
-        raise DomainError(
-            f"n_tracks {config.n_tracks} is too large to draw in memory"
-        ) from None
+    radii = dist.sample(config.seed, config.n_tracks)
+    ids = np.arange(1, config.n_tracks + 1, dtype=ID_DTYPE)
     if not (radii.min() > 0 and radii.max() < math.inf):
         index = int((~(np.isfinite(radii) & (radii > 0))).argmax())
         raise DomainError(
@@ -264,7 +259,7 @@ def censor_at_floor(
     """Keep exactly the tracks whose solvency index clears the floor,
     n_real >= floor_n: a track sitting on the floor is kept.
 
-    Tracks retain their original ids; the censored count shows up as
+    Tracks retain their original int32 ids; the censored count shows up as
     dropped rows in the returned dataset's provenance.
 
     The indices are computed and the kept tracks gathered ``DRAW_BLOCK``
@@ -273,7 +268,7 @@ def censor_at_floor(
     """
     from .rng import DRAW_BLOCK
     from .solvency import n_real_values
-    from .tracks import TrackDataset
+    from .tracks import ID_DTYPE, TrackDataset
 
     require_positive("momentum", momentum)
     require_nonnegative("floor_n", floor_n)
@@ -283,7 +278,7 @@ def censor_at_floor(
         indices = n_real_values(dataset.radii[block], momentum)
         np.greater_equal(indices, floor_n, out=keep[block])
     kept = int(np.count_nonzero(keep))
-    ids = np.empty(kept, dtype=np.int64)
+    ids = np.empty(kept, dtype=ID_DTYPE)
     radii = np.empty(kept)
     filled = 0
     for block in blocks:

@@ -39,20 +39,59 @@ _MOMENTUM_ALIASES = {
 }
 
 
-def _read_only(values, dtype: type) -> np.ndarray:
-    """``values`` as is when it is a read-only ndarray of ``dtype`` that
-    owns its data, which no other array can write to; otherwise a
-    read-only copy."""
-    if (
+# The dtype of track ids, and so the most tracks a population can hold.
+ID_DTYPE = np.int32
+_ID_RANGE = np.iinfo(ID_DTYPE)
+MAX_TRACKS = int(_ID_RANGE.max)
+
+
+def _adoptable(values, dtype: type) -> bool:
+    """Whether ``values`` is a read-only ndarray of ``dtype`` that owns
+    its data, which no other array can write to."""
+    return (
         type(values) is np.ndarray
         and values.dtype == dtype
         and values.base is None
         and not values.flags.writeable
-    ):
+    )
+
+
+def _read_only(values, dtype: type) -> np.ndarray:
+    """``values`` as is when it is adoptable; otherwise a read-only copy."""
+    if _adoptable(values, dtype):
         return values
     array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
+
+
+def _is_id(value: object) -> bool:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return isinstance(value, int) and _ID_RANGE.min <= value <= _ID_RANGE.max
+
+
+def _id_column(values) -> np.ndarray:
+    """``values`` as a read-only ``ID_DTYPE`` column, adopted as
+    ``_read_only`` adopts; an id the dtype cannot hold exactly is a
+    ``DataError`` naming the first such id, where a cast would truncate
+    or wrap it."""
+    if _adoptable(values, ID_DTYPE):
+        return values
+    given = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):
+            ids = given.astype(ID_DTYPE)
+        exact = bool((ids == given).all())
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        bad = next(value for value in given.ravel().tolist() if not _is_id(value))
+        raise DataError(
+            f"track id {bad!r} is not an integer in [{_ID_RANGE.min}, {_ID_RANGE.max}]"
+        )
+    ids.flags.writeable = False
+    return ids
 
 
 @value_class(eq=False)
@@ -60,11 +99,13 @@ class TrackDataset:
     """Ordered, cleaned radius observations with ingest provenance.
 
     The tracks are held as two read-only columns of equal length:
-    ``ids`` (int64 ordinals) and ``radii`` (float64, meters).  The
-    constructor adopts a column given as a read-only ndarray of that
-    dtype which owns its data (``base is None``), as the producers in
-    qtf hand over the columns they have just built; it copies any other
-    column, so one the caller can still write is never shared.
+    ``ids`` (int32 ordinals, so at most ``MAX_TRACKS`` = 2**31 - 1
+    tracks) and ``radii`` (float64, meters).  The constructor adopts a
+    column given as a read-only ndarray of that dtype which owns its
+    data (``base is None``), as the producers in qtf hand over the
+    columns they have just built; it copies any other column, so one
+    the caller can still write is never shared.  An id that is not an
+    integer in the int32 range is a ``DataError``.
     """
 
     ids: np.ndarray
@@ -74,7 +115,7 @@ class TrackDataset:
     rows_dropped: int
 
     def __post_init__(self) -> None:
-        ids = _read_only(self.ids, np.int64)
+        ids = _id_column(self.ids)
         radii = _read_only(self.radii, np.float64)
         if ids.ndim != 1 or ids.shape != radii.shape:
             raise DataError(f"ids {ids.shape} and radii {radii.shape} must be equal 1-d")
@@ -156,7 +197,7 @@ def parse_dataset(
     other row is counted: blank, non-numeric, non-finite, and
     non-positive rows are dropped (never aborting the parse); valid rows
     become tracks in input order, converted to meters.  Undecodable
-    bytes or zero valid rows are hard errors.
+    bytes, zero valid rows or more than ``MAX_TRACKS`` are hard errors.
     """
     if unit not in ("mm", "m"):
         raise DomainError(f"unit must be 'mm' or 'm', got {unit!r}")
@@ -197,7 +238,12 @@ def parse_dataset(
 
     if not values:
         raise DataError(f"no valid radius rows in input ({source_label or 'text'})")
-    ids = np.arange(1, len(values) + 1)
+    if len(values) > MAX_TRACKS:
+        raise DataError(
+            f"{len(values)} valid radius rows exceed the limit of {MAX_TRACKS}"
+            f" tracks ({source_label or 'text'})"
+        )
+    ids = np.arange(1, len(values) + 1, dtype=ID_DTYPE)
     radii = np.array(values)
     radii /= scale
     ids.flags.writeable = False
@@ -304,16 +350,22 @@ def solvency_report(
     """Full pipeline result for one dataset: stats plus solvency indices."""
     require_nonnegative("floor_n", floor_n)
     momentum, source = resolve_momentum(momentum_source, particle)
-    n_values = n_real_values(dataset.radii, momentum)
-    n_values.flags.writeable = False
-    # Checked before the statistics, which would otherwise report the
-    # same out-of-range radii as an overflowing mean.
-    if not np.isfinite(n_values).all():
-        raise DomainError(
-            f"solvency index r*p/hbar is not finite for radius"
-            f" {float(dataset.radii.max())!r} m at momentum {momentum!r}"
-        )
+    radii = dataset.radii
+    # fl(fl(r*p)/hbar) is monotone in r, so every index is finite exactly
+    # when the two at the ends are.  Checked before the statistics, which
+    # would otherwise report the same out-of-range radii as an
+    # overflowing mean, and the index array is built after them, so it
+    # is not held next to their sorted copy.
+    if len(dataset):
+        ends = n_real_values(np.array([radii.min(), radii.max()]), momentum)
+        if not np.isfinite(ends).all():
+            raise DomainError(
+                f"solvency index r*p/hbar is not finite for radius"
+                f" {float(radii.max())!r} m at momentum {momentum!r}"
+            )
     stats = compute_stats(dataset)
+    n_values = n_real_values(radii, momentum)
+    n_values.flags.writeable = False
     n_min = float(n_values.min())
     n_max = float(n_values.max())
     return SolvencyReport(

@@ -793,18 +793,19 @@ class TestOverflowIsAConfigError:
         [line] = err.splitlines()
         assert line.startswith("qtf: error: radius mean overflows the float range")
 
-    @pytest.mark.parametrize("n_tracks", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize("n_tracks", [2**31, 2**62, 2**63 - 1])
     @pytest.mark.parametrize(
         "distribution",
         [CENSOR_CONFIG["distribution"], {"kind": "uniform", "lo_m": 1e-3, "hi_m": 2e-2}],
         ids=["lognormal", "uniform"],
     )
     def test_too_many_tracks(self, tmp_path, capsys, n_tracks, distribution):
-        # numpy refuses these sizes before it allocates; past int64 its
-        # arange yields an empty range, which must not pass as n draws
+        # track ids are int32: the config is refused before any draw
         config = {**CENSOR_CONFIG, "n_tracks": n_tracks, "distribution": distribution}
         err = self.run_config(tmp_path, capsys, config)
-        assert err == f"qtf: error: n_tracks {n_tracks} is too large to draw in memory\n"
+        assert err == (
+            f"qtf: error: n_tracks must be an integer in [1, 2147483647], got {n_tracks}\n"
+        )
 
     def test_accrual_step_count_overflow(self, tmp_path, capsys):
         config = {**ACCRUAL_CONFIG, "max_time_s": 1e308, "time_step_s": 0.01}

@@ -155,9 +155,9 @@ def test_cprofile_writes_its_profile(tmp_path):
 # its size at that point plus ``headroom`` bytes and runs the call, so the
 # limit follows each host's baseline and acts on that child alone.  With
 # 8 MB a 2e5-row analyze runs out while parsing; with 2 MB the 2e5-track
-# censor run runs out drawing its tracks, a shortage and not a size
-# numpy refuses; with 16 MB it draws them and runs out building the csv
-# rows or the json body.
+# censor run draws its radii and runs out allocating their ids in
+# generate_tracks, a shortage and not a size numpy refuses; with 16 MB it
+# censors them and runs out building the csv rows or the json body.
 OOM_CHILD = """
 import resource, sys
 import qtf.cli, qtf.montecarlo, qtf.tracks
@@ -207,6 +207,26 @@ def test_out_of_memory_is_one_error_line(
     assert line == f"qtf: error: out of memory running {argv[0]}"
     assert proc.stdout == b""
     assert out.read_bytes() == b"previous\n"
+
+
+# The README's memory model of a text report: peak RSS is the start-up
+# size plus these bytes per generated track, fitted at 2e5 and 1e6 tracks.
+TEXT_BYTES_PER_TRACK = {"tracks": 28, "censor": 21}
+
+
+@pytest.mark.parametrize("mode", ["tracks", "censor"])
+def test_text_run_of_a_million_tracks_fits_its_memory_model(tmp_path, mode):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs resource.RLIMIT_AS and /proc/self/statm")
+    n_tracks = 1_000_000
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**LARGE_CENSOR, "mode": mode, "n_tracks": n_tracks}))
+    argv = ["simulate", str(config), "--format", "text"]
+    headroom = int(1.5 * TEXT_BYTES_PER_TRACK[mode] * n_tracks)
+    capped = run_python("-c", OOM_CHILD.format(headroom=headroom, argv=argv))
+    assert capped.returncode == 0 and not capped.stderr
+    assert capped.stdout == run_cli(*argv).stdout
 
 
 class _Unencodable(str):

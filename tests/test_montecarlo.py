@@ -88,6 +88,13 @@ class TestGenerate:
         ds = generate_tracks(config(n=2000))
         assert all(r > 0 for r in ds.radii)
 
+    def test_n_tracks_is_bounded_by_the_int32_ids(self):
+        assert SimConfig(seed=1, n_tracks=2**31 - 1, distribution=LOGNORMAL_B5)
+        message = r"^n_tracks must be an integer in \[1, 2147483647\], got "
+        for n_tracks in (0, 2**31):
+            with pytest.raises(DomainError, match=message + str(n_tracks)):
+                SimConfig(seed=1, n_tracks=n_tracks, distribution=LOGNORMAL_B5)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(seed=1, n_tracks=0, distribution=LOGNORMAL_B5)
@@ -330,7 +337,7 @@ class TestCensor:
             floor_n = float(indices[int(floor[1] * (len(ds) - 1))]) if len(ds) else 1.0
         censored = censor_at_floor(ds, floor_n, CENSOR_MOMENTUM)
         expected = censor_by_mask(ds, floor_n, CENSOR_MOMENTUM)
-        assert censored.ids.dtype == np.int64 and censored.radii.dtype == np.float64
+        assert censored.ids.dtype == np.int32 and censored.radii.dtype == np.float64
         assert censored.ids.tolist() == expected.ids.tolist()
         assert censored.radii.view(np.uint64).tolist() == expected.radii.view(np.uint64).tolist()
         assert censored.rows_read == expected.rows_read

@@ -7,8 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fixture_builder import fixture_text, synthetic_radii_mm
+import qtf.tracks
+from qtf.constants import get_consts
 from qtf.errors import DataError, DomainError
-from qtf.solvency import ParticleSpec, action_index
+from qtf.solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 from qtf.tracks import (
     TrackDataset,
     compute_stats,
@@ -164,7 +166,7 @@ class TestColumnarDataset:
         ds = TrackDataset(ids=ids, radii=radii, source_label="", rows_read=2, rows_dropped=0)
         radii[0] = 9.0
         assert ds.radii.tolist() == [0.5, 0.25]
-        assert ds.ids.dtype == np.int64 and ds.radii.dtype == np.float64
+        assert ds.ids.dtype == np.int32 and ds.radii.dtype == np.float64
 
     @staticmethod
     def _dataset(ids, radii):
@@ -173,7 +175,7 @@ class TestColumnarDataset:
         )
 
     def test_constructor_adopts_fresh_read_only_columns(self):
-        ids, radii = np.array([1, 2]), np.array([0.5, 0.25])
+        ids, radii = np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])
         ids.flags.writeable = radii.flags.writeable = False
         ds = self._dataset(ids, radii)
         assert np.shares_memory(ds.ids, ids) and np.shares_memory(ds.radii, radii)
@@ -189,10 +191,10 @@ class TestColumnarDataset:
         assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
 
     def test_constructor_copies_a_read_only_column_of_another_dtype(self):
-        ids, radii = np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25], dtype=np.float32)
+        ids, radii = np.array([1, 2], dtype=np.int64), np.array([0.5, 0.25], dtype=np.float32)
         ids.flags.writeable = radii.flags.writeable = False
         ds = self._dataset(ids, radii)
-        assert ds.ids.dtype == np.int64 and ds.radii.dtype == np.float64
+        assert ds.ids.dtype == np.int32 and ds.radii.dtype == np.float64
         assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
 
     def test_parsed_columns_are_adoptable(self):
@@ -208,6 +210,25 @@ class TestColumnarDataset:
             TrackDataset(ids=[1, 2], radii=[0.5], source_label="", rows_read=2, rows_dropped=0)
         with pytest.raises(DataError):
             TrackDataset(ids=[1], radii=[0.5], source_label="", rows_read=2, rows_dropped=0)
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [
+            ([1.5], "1.5"),
+            (np.array([2**40, 5]), "1099511627776"),  # a plain cast gives 0
+            ([7, 2**31], "2147483648"),
+            ([-(2**31) - 1], "-2147483649"),
+            ([float("nan")], "nan"),
+        ],
+    )
+    def test_ids_an_int32_cannot_hold_are_refused(self, ids, named):
+        with pytest.raises(DataError, match=rf"^track id {named} is not an integer in \["):
+            self._dataset(ids, [0.5] * len(ids))
+
+    def test_integral_ids_in_the_int32_range_are_kept(self):
+        ds = self._dataset([-(2**31), 2.0, 2**31 - 1], [0.5, 0.25, 0.125])
+        assert ds.ids.dtype == np.int32
+        assert ds.ids.tolist() == [-(2**31), 2, 2**31 - 1]
 
     def test_equality_compares_columns_and_provenance(self):
         assert make(["5.0", "6.0"]) == make(["5.0", "6.0"])
@@ -227,6 +248,13 @@ class TestColumnarDataset:
         assert report.n_values.tolist() == [
             action_index(r, report.momentum_used).n_real for r in report.dataset.radii.tolist()
         ]
+
+
+def test_parse_refuses_more_valid_rows_than_int32_ids_number(monkeypatch):
+    monkeypatch.setattr(qtf.tracks, "MAX_TRACKS", 2)
+    assert len(make(["5.0", "x", "6.0"])) == 2
+    with pytest.raises(DataError, match=r"^3 valid radius rows exceed the limit of 2 tracks"):
+        make(["5.0", "x", "6.0", "7.0"])
 
 
 class TestStats:
@@ -392,6 +420,53 @@ class TestSolvencyReport:
         # the floor is inclusive: a minimum sitting on it satisfies it
         n_min = solvency_report(ds).n_min
         assert solvency_report(ds, floor_n=n_min).floor_satisfied is True
+
+    # Radii a few ulps either side of float_max * hbar / p, the edge of a
+    # finite index, and fractions of it.  The momentum keeps the radii
+    # small enough that their statistics stay in the float range.
+    @given(
+        mass=st.floats(min_value=1e250, max_value=1e300),
+        ulps=st.lists(st.integers(-8, 8), min_size=1, max_size=6),
+        fractions=st.lists(st.floats(min_value=1e-3, max_value=1.0), max_size=6),
+    )
+    @example(mass=1e250, ulps=[-8], fractions=[0.5])
+    @example(mass=1e250, ulps=[8], fractions=[0.5])
+    @example(mass=1e250, ulps=[0] * 6, fractions=[])
+    @settings(deadline=None)
+    def test_index_is_checked_at_the_ends(self, mass, ulps, fractions):
+        particle = ParticleSpec(mass=mass, kinetic_energy=1.0)
+        momentum = momentum_from_energy(particle)
+        edge = np.finfo(np.float64).max * get_consts().hbar / momentum
+        near = (np.array([edge]).view(np.int64) + np.array(ulps)).view(np.float64)
+        radii = np.concatenate((near, np.array(fractions) * edge))
+        ds = TrackDataset(
+            ids=np.arange(1, radii.size + 1),
+            radii=radii,
+            source_label="",
+            rows_read=radii.size,
+            rows_dropped=0,
+        )
+        # fl(fl(r*p)/hbar) is monotone in r
+        finite = np.isfinite(n_real_values(radii, momentum)).all()
+        assert finite == np.isfinite(n_real_values(radii.max(), momentum))
+        if finite:
+            # the median and the in-band mean have indices too, and a mean
+            # of radii on the edge can round one ulp past it
+            st_ = compute_stats(ds)
+            centers = np.array([st_.median_radius, st_.filtered_mean_radius])
+            finite = np.isfinite(n_real_values(centers, momentum)).all()
+        if not finite:
+            with pytest.raises(DomainError, match="r\\*p/hbar is not finite for radius"):
+                solvency_report(ds, particle=particle, momentum_source="derived")
+            return
+        report = solvency_report(ds, particle=particle, momentum_source="derived")
+        assert report.n_min == n_real_values(radii.min(), momentum)
+        assert report.n_max == n_real_values(radii.max(), momentum)
+
+    def test_empty_dataset_is_a_data_error(self):
+        empty = TrackDataset(ids=[], radii=[], source_label="", rows_read=1, rows_dropped=1)
+        with pytest.raises(DataError, match="empty dataset"):
+            solvency_report(empty)
 
     def test_invalid_momentum_source(self):
         with pytest.raises(DomainError):
