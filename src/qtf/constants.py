@@ -82,7 +82,7 @@ def constants_snapshot() -> dict:
     return {"physical": asdict(_CONSTS), "paper": asdict(_PAPER)}
 
 
-def sci(x: float, sig: int = 3) -> str:
-    """Compact scientific notation: 2.0619e13 -> '2.06e13'."""
-    mant, exp = f"{x:.{sig - 1}e}".split("e")
+def sci(x: float) -> str:
+    """Compact scientific notation to three significant digits: 2.0619e13 -> '2.06e13'."""
+    mant, exp = f"{x:.2e}".split("e")
     return f"{mant}e{int(exp)}"

@@ -26,7 +26,7 @@ import numpy as np
 from ._value import value_class
 from .constants import get_paper_values, sci
 from .errors import DataError, DomainError, require_nonnegative
-from .solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
+from .solvency import ParticleSpec, momentum_from_energy, n_real_values
 
 MOMENTUM_PAPER = "paper-stated"
 MOMENTUM_DERIVED = "derived-from-spec"
@@ -347,27 +347,36 @@ def solvency_report(
     momentum_source: str = "paper",
     floor_n: float = get_paper_values().floor_n,
 ) -> SolvencyReport:
-    """Full pipeline result for one dataset: stats plus solvency indices."""
+    """Full pipeline result for one dataset: stats plus solvency indices.
+
+    Every index comes from :func:`~qtf.solvency.n_real_values`.  ``n_min``
+    and ``n_max`` are the indices at the smallest and largest radius;
+    fl(fl(r*p)/hbar) is monotone in r, so every reported index is finite
+    exactly when the one at the largest radius is, and otherwise this
+    raises :class:`DomainError`.  ``n_median`` and ``n_filtered_mean``
+    are the indices of the median and in-band mean radii, clipped into
+    ``[n_min, n_max]``: a mean can round one ulp past the radii it
+    averages, but its index cannot leave the range of the track indices.
+    """
     require_nonnegative("floor_n", floor_n)
     momentum, source = resolve_momentum(momentum_source, particle)
     radii = dataset.radii
-    # fl(fl(r*p)/hbar) is monotone in r, so every index is finite exactly
-    # when the two at the ends are.  Checked before the statistics, which
-    # would otherwise report the same out-of-range radii as an
-    # overflowing mean, and the index array is built after them, so it
-    # is not held next to their sorted copy.
+    # Checked before the statistics, which would otherwise report the
+    # same out-of-range radii as an overflowing mean, and the index array
+    # is built after them, so it is not held next to their sorted copy.
     if len(dataset):
-        ends = n_real_values(np.array([radii.min(), radii.max()]), momentum)
-        if not np.isfinite(ends).all():
+        ends = np.array([radii.min(), radii.max()])
+        n_min, n_max = n_real_values(ends, momentum).tolist()
+        if not math.isfinite(n_max):
             raise DomainError(
                 f"solvency index r*p/hbar is not finite for radius"
-                f" {float(radii.max())!r} m at momentum {momentum!r}"
+                f" {float(ends[1])!r} m at momentum {momentum!r}"
             )
-    stats = compute_stats(dataset)
+    stats = compute_stats(dataset)  # refuses an empty dataset
     n_values = n_real_values(radii, momentum)
     n_values.flags.writeable = False
-    n_min = float(n_values.min())
-    n_max = float(n_values.max())
+    centers = np.array([stats.median_radius, stats.filtered_mean_radius])
+    n_median, n_filtered_mean = n_real_values(centers, momentum).clip(n_min, n_max).tolist()
     return SolvencyReport(
         dataset=dataset,
         stats=stats,
@@ -375,8 +384,8 @@ def solvency_report(
         momentum_source=source,
         floor_n=floor_n,
         n_values=n_values,
-        n_median=action_index(stats.median_radius, momentum).n_real,
-        n_filtered_mean=action_index(stats.filtered_mean_radius, momentum).n_real,
+        n_median=n_median,
+        n_filtered_mean=n_filtered_mean,
         n_min=n_min,
         n_max=n_max,
         floor_satisfied=n_min >= floor_n,

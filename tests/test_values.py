@@ -8,7 +8,9 @@ frozenness must all agree.
 
 ``value_class_check.py`` makes the same comparison on classes of its
 own with the standard library only; it runs here under this interpreter
-and under each Python 3.10, 3.12 and 3.13 that it finds.
+and under each Python 3.10, 3.12 and 3.13 that it finds.  Those
+interpreters also compile every source file, so that the syntax stays
+within what ``requires-python >= 3.10`` admits.
 """
 
 import copy
@@ -301,3 +303,35 @@ def test_value_class_check_passes_on_other_versions(version):
     if python is None:
         pytest.skip(f"no python{version} that starts, on PATH or in ~/.pyenv/versions")
     _run_value_class_check(python)
+
+
+SOURCE_DIRS = [Path(__file__).resolve().parents[1] / d for d in ("src/qtf", "tests", "bench")]
+
+# Compiles in memory, so no bytecode lands in the tree; -W error turns a
+# SyntaxWarning (such as an invalid escape) into the error a later
+# version makes of it.
+COMPILE_SOURCES = """
+import sys
+from pathlib import Path
+paths = sorted(p for root in sys.argv[1:] for p in Path(root).rglob("*.py"))
+for path in paths:
+    try:
+        compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+    except SyntaxError as exc:
+        print(f"{path}:{exc.lineno}: {exc.msg}")
+print(len(paths), "files")
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_sources_compile_on_other_versions(version):
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no python{version} that starts, on PATH or in ~/.pyenv/versions")
+    proc = subprocess.run(
+        [python, "-I", "-W", "error", "-c", COMPILE_SOURCES, *map(str, SOURCE_DIRS)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = sum(len(list(d.rglob("*.py"))) for d in SOURCE_DIRS)
+    assert proc.stdout == f"{expected} files\n"
