@@ -3,7 +3,7 @@
 Subcommands: ``constants``, ``analyze``, ``budget``, ``simulate``.
 Reports go to stdout (or ``--out``), diagnostics to stderr, so pipelines
 can consume JSON cleanly.  Exit codes: 0 success, 1 usage/config error
-or a report that cannot be written, 2 data error.
+or a report that cannot be written, 2 data error, 130 interrupted.
 
 All of qtf's file I/O is here: ``_read_bytes`` reads every input file
 and ``_run`` writes every report.
@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, NoReturn
 from . import __version__
 from .constants import constants_snapshot, get_paper_values, sci
 from .errors import DataError, DomainError, QtfError
-from .thermo import (
-    BIO_REFERENCE,
-    ThermoQuery,
-    asymmetry_ratio,
-    audit_against_paper,
-    compute_budget,
-)
+from .thermo import BIO_REFERENCE, ThermoQuery, audit_against_paper, compute_budget
 
 # The track pipeline, the Monte Carlo harness and the solvency calculus
 # are imported by the subcommands that run them, so that ``constants``,
@@ -211,6 +205,7 @@ def _budget_body(query: ThermoQuery) -> dict:
     budget = compute_budget(query)
     applicable = query == ThermoQuery()
     records = audit_against_paper(budget) if applicable else []
+    scene_ratio = BIO_REFERENCE["wave_scene_j"] / BIO_REFERENCE["collapsed_scene_j"]
     return {
         "query": asdict(query),
         "budget": asdict(budget),
@@ -218,7 +213,7 @@ def _budget_body(query: ThermoQuery) -> dict:
             "applicable": applicable,
             "records": [asdict(r) for r in records],
         },
-        "reference": {**BIO_REFERENCE, "asymmetry_scene_ratio": asymmetry_ratio()},
+        "reference": {**BIO_REFERENCE, "asymmetry_scene_ratio": scene_ratio},
     }
 
 
@@ -560,8 +555,8 @@ def _out_path(value: str) -> str:
 _DESCRIPTION = """Collapse-solvency indices of track radii, energy budgets and
 seeded Monte Carlo simulations. Each report goes to stdout, or to the --out
 file, and each error to stderr as one line. QTF_SEED overrides the seed of a
-simulate config. Exit status: 0 on success, 2 on a data error, 1 on any other
-error."""
+simulate config. Exit status: 0 on success, 2 on a data error, 130 when
+interrupted, 1 on any other error."""
 
 
 def _build_parser() -> _Parser:
@@ -614,12 +609,15 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(_error_line(f"cannot write standard output: {exc}"))
         return 1
+    # reported once the traceback, and the run's frames, are gone
     try:
         return _run(args)
     except MemoryError:
-        pass  # reported once the traceback, and the run's frames, are gone
-    sys.stderr.write(_error_line(f"out of memory running {args.subcommand}"))
-    return 1
+        message, code = f"out of memory running {args.subcommand}", 1
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
+    sys.stderr.write(_error_line(message))
+    return code
 
 
 def _run(args: argparse.Namespace) -> int:

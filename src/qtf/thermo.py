@@ -1,13 +1,17 @@
 """Thermodynamic energy-budget calculator with a discrepancy auditor.
 
-Implements the closed-form bounds exactly as written:
+``compute_budget`` evaluates the closed-form bounds exactly as written,
+from the inputs of one ``ThermoQuery``: temperature T, bits B, modes N,
+sustain time tau, frame rate f and energy per mode per frame e.
 
-* Landauer erasure cost          E = k_B * T * ln 2 per bit
-* thermal decoherence rate       gamma = k_B * T / hbar
-* minimum sustain energy         E = hbar / tau
-* macroscopic coherence cost     E = N * k_B * T   (lower bound, ">~")
-* speed-limit minimum energy     E = h / (4*t), per frame N * h / (4*t)
-* dynamic rendering rate         E = e * N * f
+* Landauer erasure cost          erase_per_bit = k_B * T * ln 2,
+                                 erase_total = B * erase_per_bit
+* thermal decoherence rate       decoherence_rate = k_B * T / hbar
+* minimum sustain energy         min_sustain = hbar / tau
+* macroscopic coherence cost     coherence_cost = N * k_B * T  (lower bound, ">~")
+* speed-limit minimum energy     ml_min_energy = h / (4*t) at t = 1/f,
+                                 per_frame = B * ml_min_energy
+* dynamic rendering rate         dynamic_rate = e * N * f
 
 Where the source publication also states a numeric magnitude for one of
 these quantities, the computed value is authoritative and the stated
@@ -47,7 +51,8 @@ STATED_MAGNITUDES: dict[str, float] = {
 }
 
 # Read-only biological / scene reference constants.  No biology is
-# modeled; these feed asymmetry_ratio defaults and the report tables.
+# modeled; these feed the budget report's reference table, which also
+# gives wave_scene_j / collapsed_scene_j as asymmetry_scene_ratio.
 # dynamic_rate_divergence_claim is the alternative ">> 1e25 J/s" figure
 # stated alongside the computed 3.6e11; both are reported, neither is
 # adjudicated here.
@@ -111,82 +116,27 @@ class DiscrepancyRecord:
     flagged: bool
 
 
-def landauer_cost(temperature: float, bits: float) -> tuple[float, float]:
-    """Minimum erasure cost: (per-bit k_B*T*ln2, total for ``bits``)."""
-    require_positive("temperature", temperature)
-    require_nonnegative("bits", bits)
-    per_bit = _CONSTS.k_b * temperature * math.log(2.0)
-    return per_bit, bits * per_bit
-
-
-def decoherence_rate(temperature: float) -> float:
-    """Thermal decoherence rate k_B*T/hbar in Hz."""
-    require_positive("temperature", temperature)
-    return _CONSTS.k_b * temperature / _CONSTS.hbar
-
-
-def min_sustain_energy(sustain_time: float) -> float:
-    """Minimum energy hbar/tau to sustain coherence for ``sustain_time``."""
-    require_positive("sustain_time", sustain_time)
-    return _CONSTS.hbar / sustain_time
-
-
-def coherence_cost(n_modes: float, temperature: float) -> float:
-    """Entropic lower bound N*k_B*T to hold N modes coherent (">~")."""
-    require_nonnegative("n_modes", n_modes)
-    require_positive("temperature", temperature)
-    return n_modes * _CONSTS.k_b * temperature
-
-
-def ml_bound(transition_time: float, n_transitions: float) -> tuple[float, float]:
-    """Speed-limit minimum energy h/(4*t) and per-frame N*h/(4*t)."""
-    require_positive("transition_time", transition_time)
-    require_nonnegative("n_transitions", n_transitions)
-    ml_min = _CONSTS.h / (4.0 * transition_time)
-    return ml_min, n_transitions * ml_min
-
-
-def dynamic_rendering_rate(
-    energy_per_mode_per_frame: float, n_modes: float, frame_rate: float
-) -> float:
-    """Continuous rendering power e * N * f in J/s."""
-    require_nonnegative("energy_per_mode_per_frame", energy_per_mode_per_frame)
-    require_nonnegative("n_modes", n_modes)
-    require_nonnegative("frame_rate", frame_rate)
-    return energy_per_mode_per_frame * n_modes * frame_rate
-
-
-def asymmetry_ratio(
-    w_wave: float = BIO_REFERENCE["wave_scene_j"],
-    w_collapsed: float = BIO_REFERENCE["collapsed_scene_j"],
-) -> float:
-    """Wave-vs-collapsed rendering cost ratio for one scene."""
-    require_nonnegative("w_wave", w_wave)
-    require_positive("w_collapsed", w_collapsed)
-    return w_wave / w_collapsed
-
-
-def compute_budget(query: ThermoQuery | None = None) -> EnergyBudget:
+def compute_budget(query: ThermoQuery) -> EnergyBudget:
     """Evaluate every budget component for one query.
 
-    The per-frame speed-limit energy uses ``bits`` as the transition
-    count, matching the stated per-symbolic-unit usage.  A component
-    that leaves the float range is a ``DomainError`` naming it.
+    ``ThermoQuery`` checked every input when it was built, so no
+    formula here checks one again.  The per-frame speed-limit energy
+    uses ``bits`` as the transition count, matching the stated
+    per-symbolic-unit usage.  A component that leaves the float range
+    is a ``DomainError`` naming it.
     """
-    query = query or ThermoQuery()
-    erase_per_bit, erase_total = landauer_cost(query.temperature, query.bits)
-    ml_min, per_frame = ml_bound(1.0 / query.frame_rate, query.bits)
+    k_b, temperature = _CONSTS.k_b, query.temperature
+    erase_per_bit = k_b * temperature * math.log(2.0)
+    ml_min_energy = _CONSTS.h / (4.0 * (1.0 / query.frame_rate))
     budget = EnergyBudget(
         erase_per_bit=erase_per_bit,
-        erase_total=erase_total,
-        decoherence_rate=decoherence_rate(query.temperature),
-        min_sustain=min_sustain_energy(query.sustain_time),
-        coherence_cost=coherence_cost(query.n_modes, query.temperature),
-        ml_min_energy=ml_min,
-        per_frame=per_frame,
-        dynamic_rate=dynamic_rendering_rate(
-            query.energy_per_mode_per_frame, query.n_modes, query.frame_rate
-        ),
+        erase_total=query.bits * erase_per_bit,
+        decoherence_rate=k_b * temperature / _CONSTS.hbar,
+        min_sustain=_CONSTS.hbar / query.sustain_time,
+        coherence_cost=query.n_modes * k_b * temperature,
+        ml_min_energy=ml_min_energy,
+        per_frame=query.bits * ml_min_energy,
+        dynamic_rate=query.energy_per_mode_per_frame * query.n_modes * query.frame_rate,
     )
     for field in fields(budget):
         value = getattr(budget, field.name)

@@ -7,7 +7,6 @@ brute-force filters, and naive sort-based statistics.
 """
 
 import json
-import math
 import random
 import time
 
@@ -15,6 +14,7 @@ import mpmath as mp
 import pytest
 
 from conftest import run_cli
+from oracles import oracle_stats
 from qtf.montecarlo import (
     AccrualConfig,
     SimConfig,
@@ -82,7 +82,7 @@ def test_c06_dynamic_rendering_rate():
 
 
 def test_c07_audit_flags_exactly_known_inconsistencies():
-    records = {r.quantity: r for r in audit_against_paper(compute_budget())}
+    records = {r.quantity: r for r in audit_against_paper(compute_budget(ThermoQuery()))}
     flagged = {name for name, r in records.items() if r.flagged}
     assert flagged == {"decoherence_rate", "per_frame"}
     assert not records["erase_per_bit"].flagged
@@ -258,32 +258,22 @@ def test_c11_statistics_match_naive_oracle_on_random_datasets():
         ds = parse_dataset("\n".join(repr(v) for v in values), unit="m")
         stats = compute_stats(ds)
 
-        ordered = sorted(values)
-        n = len(ordered)
-        median = (
-            ordered[n // 2]
-            if n % 2
-            else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-        )
-        mean = math.fsum(ordered) / n
-        sigma = math.sqrt(math.fsum((x - mean) ** 2 for x in ordered) / n)
-        low, high = mean - sigma, mean + sigma
-        kept = [x for x in ordered if low <= x <= high]
+        ref = oracle_stats(values)
+        low, high = ref["mean"] - ref["sigma"], ref["mean"] + ref["sigma"]
 
-        assert stats.median_radius == pytest.approx(median, rel=1e-12), i
-        assert stats.mean_radius == pytest.approx(mean, rel=1e-12), i
-        assert stats.sigma_radius == pytest.approx(sigma, rel=1e-12, abs=1e-30), i
+        assert stats.median_radius == pytest.approx(ref["median"], rel=1e-12), i
+        assert stats.mean_radius == pytest.approx(ref["mean"], rel=1e-12), i
+        assert stats.sigma_radius == pytest.approx(ref["sigma"], rel=1e-12, abs=1e-30), i
         # membership is discontinuous at the band edges: when the two
         # routes round an edge differently, any value lying between the
         # two edge candidates is legitimately counted differently
         ambiguous = any(
             (stats.filter_low != low and min(stats.filter_low, low) <= v <= max(stats.filter_low, low))
             or (stats.filter_high != high and min(stats.filter_high, high) <= v <= max(stats.filter_high, high))
-            for v in ordered
+            for v in values
         )
         if not ambiguous:
-            assert stats.filtered_count == len(kept), i
-            expected_mean = math.fsum(kept) / len(kept) if kept else mean
+            assert stats.filtered_count == ref["filtered_count"], i
             assert stats.filtered_mean_radius == pytest.approx(
-                expected_mean, rel=1e-12
+                ref["filtered_mean"], rel=1e-12
             ), i

@@ -1,8 +1,8 @@
 """The exit-code contract as a property over generated inputs.
 
 ``qtf.cli.main`` runs in process on drawn ``simulate`` configs, radius
-files and ``budget`` flags.  Whatever the input, a call exits 0, 1 or 2;
-an error leaves stdout empty and writes one ``qtf: error:`` (exit 1) or
+files and ``budget`` flags.  Whatever the input, a call exits 0, 1 or 2,
+or 130 when it is interrupted; an error leaves stdout empty and writes one ``qtf: error:`` (exit 1) or
 ``qtf: data error:`` (exit 2) line, and a line that states a bound rule
 (``X must be finite and > 0, got V``) never names a V that meets it,
 and names as X an input the caller wrote: a flag of the call or a key of
@@ -34,6 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qtf.cli
 from qtf.cli import SEED_ENV_VAR, main
 
 # Values the contract must survive in any config field, the mode
@@ -324,3 +325,29 @@ def test_budget_keeps_the_exit_code_contract(flags, joined, fmt):
     for flag, value in flags.items():
         argv += _flag(flag, value, joined)
     check_contract(argv, fmt)
+
+
+def _interrupted(*parts):
+    raise KeyboardInterrupt
+
+
+@settings(CONTRACT, max_examples=50)
+@given(raw=_configs() | RAW_CONFIGS, fmt=FORMATS)
+def test_an_interrupted_run_exits_130_with_one_line(workdir, raw, fmt):
+    # interrupted once the report is computed, before it is rendered: a
+    # call that fails earlier keeps its error
+    path = workdir / "config.json"
+    path.write_bytes(raw)
+    argv = ["simulate", str(path), "--format", fmt]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(SEED_ENV_VAR, raising=False)
+        plain = _call(argv)
+        mp.setattr(qtf.cli, "_render", _interrupted)
+        try:
+            interrupted = _call(argv)
+        except KeyboardInterrupt:  # would end the whole pytest session
+            pytest.fail("main let the interrupt through")
+    if plain[0] == 0:
+        assert interrupted == (130, "", "qtf: error: interrupted\n")
+    else:
+        assert interrupted == plain

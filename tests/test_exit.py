@@ -3,13 +3,16 @@
 ``run()`` ends the process at its last write: it runs the atexit
 handlers, flushes stdout and stderr, and calls ``os._exit`` with the
 code of ``main()``.  Under a profiler or a tracer it exits normally.
-A run that runs out of memory ends in one error line and exit 1.
+A run that runs out of memory ends in one error line and exit 1, an
+interrupted run in one error line and exit 130.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -245,3 +248,82 @@ def test_out_file_keeps_its_bytes_when_the_report_cannot_be_encoded(
     assert captured.out == ""
     assert captured.err == "qtf: error: out of memory running constants\n"
     assert out.read_bytes() == b"previous\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_interrupt_before_the_report_is_written_is_one_error_line(
+    tmp_path, monkeypatch, capsys, to_file
+):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"previous\n")
+
+    def interrupted(query):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(qtf.cli, "compute_budget", interrupted)
+    argv = ["budget", *(["--out", str(out)] if to_file else [])]
+    try:
+        code = qtf.cli.main(argv)
+    except KeyboardInterrupt:  # would end the whole pytest session
+        pytest.fail("main let the interrupt through")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qtf: error: interrupted\n"
+    assert out.read_bytes() == b"previous\n"
+
+
+# 9e7 steps that never collapse: some 8 s of stepping
+LONG_ACCRUAL = {
+    "mode": "accrual",
+    "initial_budget_j": 1.0,
+    "budget_rate_w": 1.0,
+    "cost_rate_w": 0.5,
+    "time_step_s": 1e-6,
+    "max_time_s": 90.0,
+}
+
+# The child installs Python's own SIGINT handler, as Python does at the
+# start of an interactive process: a child of a shell's "cmd &" inherits
+# SIGINT ignored, and Python then leaves it ignored.  Once its imports
+# are done it writes one byte to the fd ``ready``.
+SIGINT_CHILD = """
+import os, signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+import qtf.cli, qtf.montecarlo
+os.write({ready}, b"r")
+os.close({ready})
+sys.argv = ["qtf", *{argv!r}]
+qtf.cli.run()
+"""
+
+
+def test_sigint_during_a_long_accrual_is_one_error_line(tmp_path):
+    config = tmp_path / "accrual.json"
+    config.write_text(json.dumps(LONG_ACCRUAL), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    ready, ready_w = os.pipe()
+    code = SIGINT_CHILD.format(ready=ready_w, argv=["simulate", str(config)])
+    child = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        pass_fds=(ready_w,),
+    )
+    os.close(ready_w)
+    try:
+        assert os.read(ready, 1) == b"r"
+        time.sleep(0.5)  # into the accrual's steps
+        assert child.poll() is None, "the accrual ended before the interrupt"
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        os.close(ready)
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 130
+    assert stderr == b"qtf: error: interrupted\n"
+    assert stdout == b""

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
+from oracles import ks_merge_oracle
 from qtf.errors import DataError, DomainError
 from qtf.montecarlo import (
     MAX_ACCRUAL_STEPS,
@@ -44,23 +45,6 @@ def lognormal_ref(dist, seed, i):
 
 def uniform_ref(dist, seed, i):
     return dist.lo + (dist.hi - dist.lo) * unit_uniform(seed, i)
-
-
-def ks_merge_oracle(a, b):
-    """D statistic by merging the two sorted samples one value at a time."""
-    xs = sorted(a.radii.tolist())
-    ys = sorted(b.radii.tolist())
-    n, m = len(xs), len(ys)
-    d = 0.0
-    i = j = 0
-    while i < n and j < m:
-        value = xs[i] if xs[i] <= ys[j] else ys[j]
-        while i < n and xs[i] <= value:
-            i += 1
-        while j < m and ys[j] <= value:
-            j += 1
-        d = max(d, abs(i / n - j / m))
-    return d
 
 
 SEEDS = st.integers(min_value=-(2**70), max_value=2**70 + 3)

@@ -226,10 +226,8 @@ DEFINING_MODULES = {
     ),
     "solvency": ("ActionIndex", "ParticleSpec", "action_index", "momentum_from_energy"),
     "thermo": (
-        "DiscrepancyRecord", "EnergyBudget", "ThermoQuery", "asymmetry_ratio",
-        "audit_against_paper", "coherence_cost", "compute_budget",
-        "decoherence_rate", "dynamic_rendering_rate", "landauer_cost",
-        "min_sustain_energy", "ml_bound",
+        "DiscrepancyRecord", "EnergyBudget", "ThermoQuery", "audit_against_paper",
+        "compute_budget",
     ),
     "tracks": (
         "SolvencyReport", "TrackDataset", "TrackStats", "compute_stats",
@@ -243,7 +241,7 @@ def test_every_public_name_resolves_to_its_defining_module():
     with pytest.raises(AttributeError, match="compute_stats"):
         qtf.compute_stats
     names = [(m, n) for m, names in DEFINING_MODULES.items() for n in names]
-    assert len(names) == 41
+    assert len(names) == 34
     for module, name in names:
         value = getattr(importlib.import_module(f"qtf.{module}"), name)
         assert value.__module__ == f"qtf.{module}", name

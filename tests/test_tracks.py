@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fixture_builder import fixture_text, synthetic_radii_mm
+from oracles import mask_stats, oracle_stats
 import qtf.tracks
 from qtf.constants import get_consts
 from qtf.errors import DataError, DomainError
@@ -32,33 +33,6 @@ def load_fixture():
 
 def make(rows, unit="mm"):
     return parse_dataset("\n".join(rows), unit=unit)
-
-
-# ---------------------------------------------------------------------------
-# Sort-based reference statistics (independent of the implementation)
-# ---------------------------------------------------------------------------
-
-
-def oracle_stats(values):
-    ordered = sorted(values)
-    n = len(ordered)
-    if n % 2:
-        median = ordered[n // 2]
-    else:
-        median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-    mean = math.fsum(ordered) / n
-    sigma = math.sqrt(math.fsum((x - mean) ** 2 for x in ordered) / n)
-    low, high = mean - sigma, mean + sigma
-    kept = [x for x in ordered if low <= x <= high]
-    # same degenerate-limit convention as the implementation
-    filtered_mean = math.fsum(kept) / len(kept) if kept else mean
-    return {
-        "median": median,
-        "mean": mean,
-        "sigma": sigma,
-        "filtered_count": len(kept),
-        "filtered_mean": filtered_mean,
-    }
 
 
 class TestParse:
@@ -319,22 +293,6 @@ class TestStats:
         assert len(inside) == st_.filtered_count
         outside = [r for r in ds.radii if not (st_.filter_low <= r <= st_.filter_high)]
         assert len(inside) + len(outside) == st_.count
-
-
-def mask_stats(radii: np.ndarray) -> dict:
-    """Reference median and band of ``compute_stats``: ``np.median`` and
-    a boolean mask over the sorted radii."""
-    ordered = np.sort(radii)
-    mean = float(ordered.mean())
-    sigma = float(ordered.std())
-    mask = (ordered >= mean - sigma) & (ordered <= mean + sigma)
-    filtered = ordered[mask]
-    return {
-        "median": float(np.median(ordered)),
-        "filtered_count": int(mask.sum()),
-        "filtered_fraction": float(mask.sum() / ordered.size),
-        "filtered_mean": float(filtered.mean()) if filtered.size else mean,
-    }
 
 
 # Multiples of 2**-8 m: sums and means stay exact often enough that

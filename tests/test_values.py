@@ -58,7 +58,7 @@ EQ_FALSE = (TrackDataset, SolvencyReport)
 def _instances() -> list:
     dataset = parse_dataset("3.5\n1.0\n2.0\n", source_label="values")
     report = solvency_report(dataset)
-    budget = compute_budget()
+    budget = compute_budget(ThermoQuery())
     accrual = AccrualConfig(10.0, 1.0, 2.0, 0.01, 20.0)
     return [
         PhysConsts(),
