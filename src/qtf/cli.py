@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .constants import constants_snapshot, get_paper_values, sci
-from .errors import DataError, DomainError, QtfError
+from .errors import DataError, DomainError, QtfError, require_nonnegative
 from .thermo import BIO_REFERENCE, ThermoQuery, audit_against_paper, compute_budget
 
 # The track pipeline, the Monte Carlo harness and the solvency calculus
@@ -41,6 +41,11 @@ if TYPE_CHECKING:
     from .solvency import ParticleSpec
 
 SEED_ENV_VAR = "QTF_SEED"
+# The momentum route and action floor of a run that names neither:
+# analyze's --momentum and --floor, and a simulate config without the
+# momentum_source or floor_n key.
+DEFAULT_MOMENTUM = "paper"
+DEFAULT_FLOOR_N = get_paper_values().floor_n
 
 # Each character str.splitlines breaks on, mapped to its escape as repr
 # writes it (repr, unlike the unicode_escape codec, imports no module),
@@ -371,42 +376,33 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
     from .tracks import emit_summary, report_to_dict, resolve_momentum, solvency_report
 
     mode = config["mode"]
-    # Optional keys the config leaves out take SimConfig's defaults.
-    options = {}
-    if "particle" in config:
-        options["particle"] = _parse_particle(config["particle"])
-    if "momentum_source" in config:
-        options["momentum_source"] = config["momentum_source"]
-    if "floor_n" in config:
-        options["floor_n"] = _config_float(config, "floor_n")
+    # Every key is checked before any track is drawn; the optional ones
+    # the config leaves out take the defaults of analyze's flags.
+    particle = _parse_particle(config.get("particle"))
+    floor_n = _config_float(config, "floor_n") if "floor_n" in config else DEFAULT_FLOOR_N
+    momentum_source = config.get("momentum_source", DEFAULT_MOMENTUM)
     sim = SimConfig(
         seed=seed,
         n_tracks=_config_int(config, "n_tracks"),
         distribution=_parse_distribution(config["distribution"]),
-        **options,
     )
-    # Checked before any track is drawn.
+    require_nonnegative("floor_n", floor_n)
     with _caller_names(_PARTICLE, "particle."):
-        momentum, _ = resolve_momentum(sim.momentum_source, sim.particle)
+        momentum, _ = resolve_momentum(momentum_source, particle)
         # censor_at_floor refuses a zero momentum, which only a derived one
         # can be, but after every draw; the with block names its inputs
         if mode == "censor" and momentum == 0.0:
-            p = sim.particle
-            raise DomainError(f"mass {p.mass!r} and kinetic_energy {p.kinetic_energy!r}"
-                              " give momentum 0.0, which censoring cannot use", "mass")
+            raise DomainError(f"mass {particle.mass!r} and kinetic_energy"
+                              f" {particle.kinetic_energy!r} give momentum 0.0,"
+                              " which censoring cannot use", "mass")
     dataset = generate_tracks(sim)
     if mode == "censor":
-        censored = censor_at_floor(dataset, sim.floor_n, momentum)
+        censored = censor_at_floor(dataset, floor_n, momentum)
         if not len(censored):
-            raise DataError(
-                f"all {len(dataset)} tracks fall below floor {sim.floor_n!r}"
-            )
+            raise DataError(f"all {len(dataset)} tracks fall below floor {floor_n!r}")
         dataset = censored
     report = solvency_report(
-        dataset,
-        particle=sim.particle,
-        momentum_source=sim.momentum_source,
-        floor_n=sim.floor_n,
+        dataset, particle=particle, momentum_source=momentum_source, floor_n=floor_n
     )
     sim_section = {
         "mode": mode,
@@ -414,7 +410,7 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
         "n_tracks": sim.n_tracks,
         "distribution": sim.distribution.describe(),
         "momentum_source": report.momentum_source,
-        "floor_n": sim.floor_n,
+        "floor_n": floor_n,
     }
     if fmt == "json":
         return {"sim": sim_section, **report_to_dict(report)}
@@ -573,10 +569,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="run the track pipeline on a radius file")
     p.add_argument("path", help="input file, one radius per row")
     p.add_argument("--unit", choices=["mm", "m"], default="mm")
-    p.add_argument("--momentum", choices=["paper", "derived"], default="paper")
-    p.add_argument(
-        "--floor", type=float, default=get_paper_values().floor_n, help="action floor n"
-    )
+    p.add_argument("--momentum", choices=["paper", "derived"], default=DEFAULT_MOMENTUM)
+    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR_N, help="action floor n")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_analyze)

@@ -24,14 +24,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._value import value_class
-from .constants import get_paper_values
 from .errors import DataError, DomainError, require_nonnegative, require_positive
 
 # The draws, the solvency calculus and the track layer are imported by
 # the functions that use them, so that accrual and sweep runs never load
 # them.
 if TYPE_CHECKING:
-    from .solvency import ParticleSpec
     from .tracks import TrackDataset
 
 
@@ -136,14 +134,11 @@ def _is_int(value: object) -> bool:
 
 @value_class
 class SimConfig:
-    """Synthetic track population configuration."""
+    """The synthetic track population that ``generate_tracks`` draws."""
 
     seed: int
     n_tracks: int
     distribution: RadiusDistribution
-    particle: ParticleSpec | None = None
-    momentum_source: str = "paper"
-    floor_n: float = get_paper_values().floor_n
 
     def __post_init__(self) -> None:
         from .tracks import MAX_TRACKS
@@ -154,7 +149,6 @@ class SimConfig:
             raise DomainError(
                 f"n_tracks must be an integer in [1, {MAX_TRACKS}], got {self.n_tracks!r}"
             )
-        require_nonnegative("floor_n", self.floor_n)
 
 
 # Most steps an accrual run, or a whole sweep of runs, may take.  The

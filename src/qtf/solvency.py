@@ -3,9 +3,10 @@
 Two small pieces of arithmetic:
 
 * momentum from kinetic energy, p = sqrt(2*m*E)
-* the per-track solvency index n = r*p/hbar, quantized to whole action
-  units (floor, never rounding: there are no partial renderings)
+* the per-track solvency index n = r*p/hbar
 
+Its floor, the number of whole action quanta (never rounded: there are
+no partial renderings), is taken in the reports' ``n_quanta`` column.
 The threshold rules that use the index live where they run: the
 inclusive action floor in ``montecarlo.censor_at_floor`` and
 ``tracks.solvency_report`` (``floor_satisfied``), and the strict
@@ -40,19 +41,6 @@ class ParticleSpec:
         require_nonnegative("kinetic_energy", self.kinetic_energy)
 
 
-@value_class
-class ActionIndex:
-    """Accumulated action expressed in whole quanta of h.
-
-    ``n_real`` is the continuous index r*p/hbar; ``n_quanta`` is its
-    floor; ``action`` is exactly ``n_quanta * h``.
-    """
-
-    n_real: float
-    n_quanta: int
-    action: float
-
-
 def momentum_from_energy(particle: ParticleSpec) -> float:
     """Momentum p = sqrt(2*m*E) in kg*m/s.  Zero energy, or a product
     2*m*E that underflows, gives zero; a momentum past the float range
@@ -67,7 +55,7 @@ def momentum_from_energy(particle: ParticleSpec) -> float:
     return momentum
 
 
-def action_index(radius: float, momentum: float) -> ActionIndex:
+def action_index(radius: float, momentum: float) -> float:
     """Solvency index for one track: n = radius * momentum / hbar."""
     require_nonnegative("radius", radius)
     require_nonnegative("momentum", momentum)
@@ -77,16 +65,15 @@ def action_index(radius: float, momentum: float) -> ActionIndex:
             f"solvency index r*p/hbar is not finite for radius {radius!r} m"
             f" at momentum {momentum!r}"
         )
-    n_quanta = math.floor(n_real)
-    return ActionIndex(n_real=n_real, n_quanta=n_quanta, action=n_quanta * _CONSTS.h)
+    return n_real
 
 
 def n_real_values(radii, momentum: float):
     """Continuous indices r*p/hbar of many radii (a numpy array) at once.
 
-    Element i equals ``action_index(radii[i], momentum).n_real`` bit for
-    bit; the radii are taken as already validated.  An index past the
-    float range is inf, without a warning: callers check finiteness.
+    Element i equals ``action_index(radii[i], momentum)`` bit for bit;
+    the radii are taken as already validated.  An index past the float
+    range is inf, without a warning: callers check finiteness.
     """
     require_nonnegative("momentum", momentum)
     with np.errstate(over="ignore"):

@@ -195,9 +195,11 @@ def parse_dataset(
     or inf; digit-group underscores and non-ASCII digits make a row
     non-numeric.  A non-numeric first row is treated as a header.  Every
     other row is counted: blank, non-numeric, non-finite, and
-    non-positive rows are dropped (never aborting the parse); valid rows
-    become tracks in input order, converted to meters.  Undecodable
-    bytes, zero valid rows or more than ``MAX_TRACKS`` are hard errors.
+    non-positive rows are dropped (never aborting the parse), as is a
+    positive row whose radius in meters underflows to 0; valid rows
+    become tracks in input order, converted to meters, with ids 1, 2, ...
+    Undecodable bytes, zero valid rows or more than ``MAX_TRACKS`` are
+    hard errors.
     """
     if unit not in ("mm", "m"):
         raise DomainError(f"unit must be 'mm' or 'm', got {unit!r}")
@@ -236,16 +238,21 @@ def parse_dataset(
             continue
         values.append(value)
 
-    if not values:
-        raise DataError(f"no valid radius rows in input ({source_label or 'text'})")
-    if len(values) > MAX_TRACKS:
-        raise DataError(
-            f"{len(values)} valid radius rows exceed the limit of {MAX_TRACKS}"
-            f" tracks ({source_label or 'text'})"
-        )
-    ids = np.arange(1, len(values) + 1, dtype=ID_DTYPE)
     radii = np.array(values)
     radii /= scale
+    if radii.size and not radii.min() > 0:
+        # a row in mm below about 2.5e-321 is 0 m: a non-positive radius
+        positive = radii > 0
+        rows_dropped += radii.size - int(np.count_nonzero(positive))
+        radii = radii[positive]
+    if not radii.size:
+        raise DataError(f"no valid radius rows in input ({source_label or 'text'})")
+    if radii.size > MAX_TRACKS:
+        raise DataError(
+            f"{radii.size} valid radius rows exceed the limit of {MAX_TRACKS}"
+            f" tracks ({source_label or 'text'})"
+        )
+    ids = np.arange(1, radii.size + 1, dtype=ID_DTYPE)
     ids.flags.writeable = False
     radii.flags.writeable = False
     return TrackDataset(
@@ -427,21 +434,19 @@ def report_to_dict(report: SolvencyReport) -> dict:
             "floor_satisfied": report.floor_satisfied,
         },
         "tracks": [
-            {
-                "id": track_id,
-                "radius_m": radius,
-                "n_real": n,
-                "n_quanta": math.floor(n),
-            }
-            for track_id, radius, n in _track_rows(report)
+            {"id": track_id, "radius_m": radius, "n_real": n, "n_quanta": n_quanta}
+            for track_id, radius, n, n_quanta in _track_rows(report)
         ],
     }
 
 
 def _track_rows(report: SolvencyReport):
-    """(id, radius, n_real) per track, as Python int/float for exact repr."""
+    """(id, radius, n_real, n_quanta) per track, as Python int/float for
+    exact repr; ``n_quanta``, the whole action quanta, is the floor of
+    ``n_real``, taken here for every track table."""
     ds = report.dataset
-    return zip(ds.ids.tolist(), ds.radii.tolist(), report.n_values.tolist())
+    n_values = report.n_values.tolist()
+    return zip(ds.ids.tolist(), ds.radii.tolist(), n_values, map(math.floor, n_values))
 
 
 def emit_summary(report: SolvencyReport, format: str) -> str:
@@ -454,8 +459,8 @@ def emit_summary(report: SolvencyReport, format: str) -> str:
     """
     if format == "csv":
         lines = ["id,radius_m,n_real,n_quanta"]
-        for track_id, radius, n in _track_rows(report):
-            lines.append(f"{track_id},{radius!r},{n!r},{math.floor(n)}")
+        for track_id, radius, n, n_quanta in _track_rows(report):
+            lines.append(f"{track_id},{radius!r},{n!r},{n_quanta}")
         return "\n".join(lines) + "\n"
     if format == "text":
         st = report.stats

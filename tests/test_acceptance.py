@@ -36,14 +36,14 @@ FIXTURE = str(fixture_path())
 
 def test_c01_median_index_reproduction():
     # stated: ~2.06e13 at r = 6.67e-3 m, p = 3.26e-19 kg*m/s
-    idx = action_index(6.67e-3, 3.26e-19)
-    assert abs(idx.n_real - 2.06e13) / 2.06e13 < 0.005
+    n = action_index(6.67e-3, 3.26e-19)
+    assert abs(n - 2.06e13) / 2.06e13 < 0.005
 
 
 def test_c02_filtered_mean_index_reproduction():
     # stated: ~2.29e13 at r = 7.42e-3 m
-    idx = action_index(7.42e-3, 3.26e-19)
-    assert abs(idx.n_real - 2.29e13) / 2.29e13 < 0.005
+    n = action_index(7.42e-3, 3.26e-19)
+    assert abs(n - 2.29e13) / 2.29e13 < 0.005
 
 
 def test_c03_end_to_end_fixture_run():
@@ -109,12 +109,12 @@ def test_c08_floor_property_over_randomized_censoring_runs():
         dataset = generate_tracks(config)
         momentum = 10 ** rng.uniform(-20.0, -18.0)
         radii = dataset.radii.tolist()
-        ns = [action_index(r, momentum).n_real for r in radii]
+        ns = [action_index(r, momentum) for r in radii]
         floor = rng.uniform(0.5 * min(ns), 2.0 * max(ns))
         censored = censor_at_floor(dataset, floor, momentum)
         # zero retained tracks below the floor
         for radius in censored.radii.tolist():
-            n_real = action_index(radius, momentum).n_real
+            n_real = action_index(radius, momentum)
             assert n_real >= floor, f"run {run}: {n_real} < {floor}"
         # censored set equals the brute-force filter exactly
         kept = [value >= floor for value in ns]

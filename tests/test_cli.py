@@ -1062,14 +1062,77 @@ def test_a_nested_key_error_names_its_object(tmp_path, capsys, case, problem):
     assert captured.err == f"qtf: error: config {words}: [{name + '.' + key!r}]\n"
 
 
+def _draw(sim):
+    raise AssertionError("a track was drawn")
+
+
 def test_zero_momentum_censor_draws_no_track(tmp_path, monkeypatch):
     # tracks mode keeps drawing at zero momentum; censor refuses it first
-    def draw(sim):
-        raise AssertionError("a track was drawn")
-
-    monkeypatch.setattr(qtf.montecarlo, "generate_tracks", draw)
+    monkeypatch.setattr(qtf.montecarlo, "generate_tracks", _draw)
     config = write_config(tmp_path, _derived("censor", 6.64e-27, 0))
     assert qtf.cli.main(["simulate", config]) == 1
     tracks = write_config(tmp_path, _derived("tracks", 6.64e-27, 0))
     with pytest.raises(AssertionError, match="a track was drawn"):
         qtf.cli.main(["simulate", tracks])
+
+
+# A key of a population config that the draw does not read, each wrong in
+# a way only the CLI's own check can see before any track is drawn.
+UNDRAWN_KEYS = {
+    "negative-floor_n": ({"floor_n": -1.0}, "floor_n must be finite and >= 0, got -1.0"),
+    "unknown-momentum_source": (
+        {"momentum_source": "bogus"},
+        "momentum_source must be one of ['derived', 'derived-from-spec', 'paper',"
+        " 'paper-stated'], got 'bogus'"),
+    "particle-on-the-paper-route": (
+        {"particle": {"mass_kg": 6.64e-27, "kinetic_energy_j": 8.01e-13}},
+        "particle is used only by the derived momentum route, but momentum_source is 'paper'"),
+}
+
+
+@pytest.mark.parametrize("mode", ["tracks", "censor"])
+@pytest.mark.parametrize("case", UNDRAWN_KEYS)
+def test_a_bad_key_the_draw_does_not_read_is_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, case, mode
+):
+    keys, message = UNDRAWN_KEYS[case]
+    monkeypatch.setattr(qtf.montecarlo, "generate_tracks", _draw)
+    config = write_config(tmp_path, {**CENSOR_CONFIG, "mode": mode, **keys})
+    assert qtf.cli.main(["simulate", config]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"qtf: error: {message}\n"
+
+
+def test_a_config_with_several_bad_keys_names_them_in_a_fixed_order(
+    tmp_path, monkeypatch, capsys
+):
+    # each step mends the key the error before it named
+    monkeypatch.setattr(qtf.montecarlo, "generate_tracks", _draw)
+    config = {
+        **CENSOR_CONFIG,
+        "particle": {"mass_kg": -1, "kinetic_energy_j": 1},
+        "floor_n": "high",
+        "n_tracks": "many",
+        "distribution": {"kind": "uniform", "lo_m": 0, "hi_m": 1e-3},
+        "momentum_source": "bogus",
+    }
+    steps = [
+        ({}, "particle.mass_kg must be finite and > 0, got -1.0"),
+        ({"particle": None}, "floor_n must be a number, got 'high'"),
+        ({"floor_n": -1}, "n_tracks must be an integer, got 'many'"),
+        ({"n_tracks": 0}, "distribution.lo_m must be finite and > 0, got 0.0"),
+        ({"distribution": CENSOR_CONFIG["distribution"]},
+         "n_tracks must be an integer in [1, 2147483647], got 0"),
+        ({"n_tracks": 228}, "floor_n must be finite and >= 0, got -1.0"),
+        ({"floor_n": 1e12},
+         "momentum_source must be one of ['derived', 'derived-from-spec', 'paper',"
+         " 'paper-stated'], got 'bogus'"),
+    ]
+    for mend, message in steps:
+        config.update(mend)
+        assert qtf.cli.main(["simulate", write_config(tmp_path, config)]) == 1
+        assert capsys.readouterr().err == f"qtf: error: {message}\n"
+    config["momentum_source"] = "paper"
+    with pytest.raises(AssertionError, match="a track was drawn"):
+        qtf.cli.main(["simulate", write_config(tmp_path, config)])

@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
+import qtf.cli
 from qtf.constants import PhysConsts
 from qtf.errors import DomainError
 from qtf.montecarlo import (
     AccrualConfig,
     Lognormal,
-    SimConfig,
     Uniform,
     censor_at_floor,
     lognormal_from_moments,
@@ -38,6 +38,14 @@ def _dataset():
     return parse_dataset("6.67e-3", unit="m")
 
 
+def _simulate(floor_n):
+    """A population config's ``floor_n``, which the CLI checks itself
+    before any track is drawn."""
+    config = {"mode": "censor", "n_tracks": 1, "floor_n": floor_n,
+              "distribution": {"kind": "uniform", "lo_m": 1.0, "hi_m": 2.0}}
+    return qtf.cli._simulate_tracks(config, 0, "text")
+
+
 # (name in the message, ">=" or ">", the call given the checked value)
 SITES = {
     "ThermoQuery.temperature": ("temperature", ">", lambda v: ThermoQuery(temperature=v)),
@@ -54,8 +62,7 @@ SITES = {
     "lognormal_from_moments.mean": (
         "mean", ">", lambda v: lognormal_from_moments(v, 1.0)),
     "lognormal_from_moments.sd": ("sd", ">", lambda v: lognormal_from_moments(1.0, v)),
-    "SimConfig.floor_n": (
-        "floor_n", ">=", lambda v: SimConfig(0, 1, Uniform(1.0, 2.0), floor_n=v)),
+    "simulate.floor_n": ("floor_n", ">=", _simulate),
     "AccrualConfig.initial_budget": (
         "initial_budget", ">=", lambda v: _accrual(initial_budget=v)),
     "AccrualConfig.budget_rate": ("budget_rate", ">=", lambda v: _accrual(budget_rate=v)),

@@ -213,23 +213,38 @@ def test_out_of_memory_is_one_error_line(
 
 
 # The README's memory model of a text report: peak RSS is the start-up
-# size plus these bytes per generated track, fitted at 2e5 and 1e6 tracks.
-TEXT_BYTES_PER_TRACK = {"tracks": 28, "censor": 21}
+# size plus these bytes per generated track and per kept track, fitted at
+# 2e5 and 1e6 tracks.  A tracks run keeps every track it draws.
+TEXT_BYTES_PER_TRACK = {"tracks": (28, 0), "censor": (12, 15)}
 
 
-@pytest.mark.parametrize("mode", ["tracks", "censor"])
-def test_text_run_of_a_million_tracks_fits_its_memory_model(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, floor_n",
+    [
+        pytest.param("tracks", 5e12, id="tracks"),
+        pytest.param("censor", 5e12, id="censor"),  # about 62% kept
+        pytest.param("censor", 0.0, id="censor-all-kept"),
+        pytest.param("censor", 3e13, id="censor-mostly-censored"),  # about 0.5% kept
+    ],
+)
+def test_text_run_of_a_million_tracks_fits_its_memory_model(tmp_path, mode, floor_n):
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"):
         pytest.skip("needs resource.RLIMIT_AS and /proc/self/statm")
     n_tracks = 1_000_000
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**LARGE_CENSOR, "mode": mode, "n_tracks": n_tracks}))
+    config.write_text(
+        json.dumps({**LARGE_CENSOR, "mode": mode, "n_tracks": n_tracks, "floor_n": floor_n})
+    )
     argv = ["simulate", str(config), "--format", "text"]
-    headroom = int(1.5 * TEXT_BYTES_PER_TRACK[mode] * n_tracks)
+    unlimited = run_cli(*argv).stdout
+    # "tracks: N read, D dropped, K analyzed"
+    kept = int(unlimited.splitlines()[1].split()[-2])
+    per_generated, per_kept = TEXT_BYTES_PER_TRACK[mode]
+    headroom = int(1.5 * (per_generated * n_tracks + per_kept * kept))
     capped = run_python("-c", OOM_CHILD.format(headroom=headroom, argv=argv))
     assert capped.returncode == 0 and not capped.stderr
-    assert capped.stdout == run_cli(*argv).stdout
+    assert capped.stdout == unlimited
 
 
 class _Unencodable(str):

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,6 +71,9 @@ class TestGenerate:
     def test_lognormal_positive(self):
         ds = generate_tracks(config(n=2000))
         assert all(r > 0 for r in ds.radii)
+
+    def test_config_holds_only_what_the_draw_reads(self):
+        assert [f.name for f in fields(SimConfig)] == ["seed", "n_tracks", "distribution"]
 
     def test_n_tracks_is_bounded_by_the_int32_ids(self):
         assert SimConfig(seed=1, n_tracks=2**31 - 1, distribution=LOGNORMAL_B5)
@@ -260,7 +263,7 @@ class TestCensor:
         for _ in range(50):
             ds = generate_tracks(config(seed=rng.randrange(2**32), n=rng.randint(1, 60)))
             momentum = 10 ** rng.uniform(-20, -18)
-            ns = [action_index(r, momentum).n_real for r in ds.radii.tolist()]
+            ns = [action_index(r, momentum) for r in ds.radii.tolist()]
             floor = rng.choice(ns) if rng.random() < 0.5 else rng.uniform(min(ns), max(ns))
             censored = censor_at_floor(ds, floor, momentum)
             kept = [n >= floor for n in ns]
@@ -280,12 +283,12 @@ class TestCensor:
 
     def test_keeps_track_above_floor(self):
         ds = parse_dataset("6.67e-3", unit="m")
-        assert action_index(6.67e-3, 3.26e-19).n_real > 1e12
+        assert action_index(6.67e-3, 3.26e-19) > 1e12
         assert columns(censor_at_floor(ds, 1e12, 3.26e-19)) == columns(ds)
 
     def test_drops_track_below_floor(self):
         ds = parse_dataset("1.0", unit="m")
-        assert action_index(1.0, 9.9e-23).n_real < 1e12  # n_real ~ 9.4e11
+        assert action_index(1.0, 9.9e-23) < 1e12  # n_real ~ 9.4e11
         censored = censor_at_floor(ds, 1e12, 9.9e-23)
         assert len(censored) == 0
         assert censored.rows_dropped == 1
@@ -293,7 +296,7 @@ class TestCensor:
     def test_floor_boundary_is_inclusive(self):
         # a track sitting exactly on the floor is kept; one ulp above drops it
         ds = parse_dataset("1.0", unit="m")
-        n = action_index(1.0, 1e-22).n_real
+        n = action_index(1.0, 1e-22)
         assert columns(censor_at_floor(ds, n, 1e-22)) == columns(ds)
         assert len(censor_at_floor(ds, math.nextafter(n, math.inf), 1e-22)) == 0
 

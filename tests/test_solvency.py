@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtf.constants import get_consts
 from qtf.errors import DomainError
-from qtf.solvency import ParticleSpec, action_index, momentum_from_energy
+from qtf.solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 
 # Frozen extended-precision oracle values (50-digit arithmetic,
 # computed independently before the implementation):
@@ -45,24 +45,22 @@ class TestMomentumFromEnergy:
 
 class TestActionIndex:
     def test_median_radius_with_stated_momentum(self):
-        idx = action_index(6.67e-3, 3.26e-19)
-        assert idx.n_real == pytest.approx(N_MEDIAN_PAPER_P, rel=1e-12)
-        assert idx.n_real == pytest.approx(2.06e13, rel=5e-3)
+        n = action_index(6.67e-3, 3.26e-19)
+        assert n == pytest.approx(N_MEDIAN_PAPER_P, rel=1e-12)
+        assert n == pytest.approx(2.06e13, rel=5e-3)
 
     def test_filtered_mean_radius_with_stated_momentum(self):
-        idx = action_index(7.42e-3, 3.26e-19)
-        assert idx.n_real == pytest.approx(N_FMEAN_PAPER_P, rel=1e-12)
-        assert idx.n_real == pytest.approx(2.29e13, rel=5e-3)
+        n = action_index(7.42e-3, 3.26e-19)
+        assert n == pytest.approx(N_FMEAN_PAPER_P, rel=1e-12)
+        assert n == pytest.approx(2.29e13, rel=5e-3)
 
     def test_median_radius_with_derived_momentum(self):
-        idx = action_index(6.67e-3, P_DERIVED)
-        assert idx.n_real == pytest.approx(N_MEDIAN_DERIVED_P, rel=1e-12)
+        n = action_index(6.67e-3, P_DERIVED)
+        assert n == pytest.approx(N_MEDIAN_DERIVED_P, rel=1e-12)
 
     def test_zero_radius(self):
-        idx = action_index(0.0, 3.26e-19)
-        assert idx.n_real == 0.0
-        assert idx.n_quanta == 0
-        assert idx.action == 0.0
+        n = action_index(0.0, 3.26e-19)
+        assert type(n) is float and n == 0.0
 
     @pytest.mark.parametrize("radius,momentum", [(-1.0, 1.0), (1.0, -1.0), (math.inf, 1.0)])
     def test_rejects_bad_inputs(self, radius, momentum):
@@ -73,26 +71,22 @@ class TestActionIndex:
     @settings(deadline=None)
     def test_strictly_increasing_in_radius(self, radius, momentum, factor):
         bigger = radius * (1.0 + factor)
-        assert action_index(bigger, momentum).n_real > action_index(radius, momentum).n_real
+        assert action_index(bigger, momentum) > action_index(radius, momentum)
 
     @given(radius=positive, momentum=positive, factor=st.floats(min_value=1e-6, max_value=10.0))
     @settings(deadline=None)
     def test_strictly_increasing_in_momentum(self, radius, momentum, factor):
         bigger = momentum * (1.0 + factor)
-        assert action_index(radius, bigger).n_real > action_index(radius, momentum).n_real
+        assert action_index(radius, bigger) > action_index(radius, momentum)
 
     @given(radius=positive, momentum=positive, k=st.floats(min_value=1e-6, max_value=1e6))
     @settings(deadline=None)
     def test_scale_law(self, radius, momentum, k):
-        scaled = action_index(k * radius, momentum).n_real
-        assert scaled == pytest.approx(k * action_index(radius, momentum).n_real, rel=1e-12)
+        scaled = action_index(k * radius, momentum)
+        assert scaled == pytest.approx(k * action_index(radius, momentum), rel=1e-12)
 
     @given(radius=positive, momentum=positive)
     @settings(deadline=None)
-    def test_quantization_invariants(self, radius, momentum):
-        consts = get_consts()
-        idx = action_index(radius, momentum)
-        assert idx.n_quanta == math.floor(idx.n_real)
-        assert idx.n_quanta <= idx.n_real < idx.n_quanta + 1
-        assert idx.action == idx.n_quanta * consts.h
-
+    def test_equals_the_bulk_index_bit_for_bit(self, radius, momentum):
+        [bulk] = n_real_values(np.array([radius]), momentum).tolist()
+        assert action_index(radius, momentum) == bulk

@@ -111,6 +111,22 @@ class TestParse:
             solvency_report(without)
         )
 
+    def test_radius_that_underflows_to_zero_meters_is_dropped(self, monkeypatch):
+        # 1e-322 mm is 0 m: a non-positive radius, dropped and not numbered
+        ds = parse_dataset("1e-322\n2.5\n")
+        assert (ds.rows_read, ds.rows_dropped) == (2, 1)
+        assert ds.ids.tolist() == [1]
+        assert ds.radii.tolist() == [2.5e-3]
+        # in meters the same row is a subnormal radius, and is kept
+        ds = parse_dataset("1e-322\n2.5\n", unit="m")
+        assert (ds.rows_read, ds.rows_dropped) == (2, 0)
+        assert ds.radii.tolist() == [1e-322, 2.5]
+        with pytest.raises(DataError, match="no valid radius rows"):
+            parse_dataset("1e-322\n2e-322\n")
+        # the track limit counts the rows that are kept
+        monkeypatch.setattr(qtf.tracks, "MAX_TRACKS", 2)
+        assert len(make(["5.0", "1e-322", "6.0"])) == 2
+
     @given(
         st.lists(
             st.floats(min_value=0.01, max_value=1e4).map(lambda x: f"{x!r}"),
@@ -220,7 +236,7 @@ class TestColumnarDataset:
         report = solvency_report(load_fixture())
         assert not report.n_values.flags.writeable
         assert report.n_values.tolist() == [
-            action_index(r, report.momentum_used).n_real for r in report.dataset.radii.tolist()
+            action_index(r, report.momentum_used) for r in report.dataset.radii.tolist()
         ]
 
 
@@ -425,7 +441,7 @@ class TestSolvencyReport:
         for radius, n in centers:
             assert report.n_min <= n <= report.n_max
             try:
-                exact = action_index(radius, momentum).n_real
+                exact = action_index(radius, momentum)
             except DomainError:
                 continue
             if report.n_min <= exact <= report.n_max:
@@ -473,6 +489,24 @@ class TestEmit:
         assert first[0] == "1"
         assert float(first[1]) == 5e-3
         assert int(first[3]) == math.floor(float(first[2]))
+
+    @given(
+        radii=st.lists(st.floats(min_value=1e-12, max_value=1e12), min_size=1, max_size=20),
+        momentum=st.floats(min_value=1e-22, max_value=1e-18),
+    )
+    @settings(deadline=None)
+    def test_quantization_invariants(self, radii, momentum):
+        # both track tables hold n_quanta = floor(n_real), never rounded
+        ds = parse_dataset("\n".join(map(repr, radii)), unit="m")
+        particle = ParticleSpec(mass=momentum**2 / 2, kinetic_energy=1.0)
+        report = solvency_report(ds, particle=particle, momentum_source="derived")
+        rows = [line.split(",") for line in emit_summary(report, "csv").splitlines()[1:]]
+        tracks = report_to_dict(report)["tracks"]
+        assert [int(row[3]) for row in rows] == [t["n_quanta"] for t in tracks]
+        for track, n in zip(tracks, report.n_values.tolist()):
+            assert track["n_real"] == n
+            assert track["n_quanta"] == math.floor(n)
+            assert track["n_quanta"] <= n < track["n_quanta"] + 1
 
     def test_unknown_format(self):
         report = solvency_report(make(["5"]))

@@ -42,7 +42,7 @@ from qtf._value import value_class
 from qtf.constants import PaperValues, PhysConsts
 from qtf.errors import DataError, DomainError
 from qtf.montecarlo import AccrualConfig, Lognormal, SimConfig, Uniform, run_accrual
-from qtf.solvency import ParticleSpec, action_index
+from qtf.solvency import ParticleSpec
 from qtf.thermo import ThermoQuery, audit_against_paper, compute_budget
 from qtf.tracks import (
     SolvencyReport,
@@ -67,7 +67,6 @@ def _instances() -> list:
         budget,
         audit_against_paper(budget)[0],
         ParticleSpec(6.644e-27, 8.01e-13),
-        action_index(6.67e-3, 3.26e-19),
         Lognormal(-5.0, 0.5),
         Uniform(1e-3, 2e-2),
         SimConfig(seed=7, n_tracks=10, distribution=Uniform(1e-3, 2e-2)),
@@ -125,7 +124,7 @@ def test_every_value_class_is_covered():
         and value.__module__ == module.__name__
     }
     assert classes == {type(obj) for obj in INSTANCES}
-    assert len(INSTANCES) == 15
+    assert len(INSTANCES) == 14
 
 
 def test_signature(pair):
