@@ -11,7 +11,7 @@ do not:
 
 * ``simulate`` populations on both sides of ``qtf.rng.DRAW_BLOCK``
   (8192 tracks), which is also the block of the censor gather, and at
-  2e5 tracks;
+  2e5 tracks: lognormal ones, and uniform ones up to 24577 tracks;
 * ``analyze`` of a radius file over 2 MiB, where every kind of row the
   parser skips or drops sits on both sides of each 1 MiB edge of the
   decoded text;
@@ -22,11 +22,14 @@ do not:
   an operating-system message (an unreadable input, an unwritable
   ``--out``) is left out: that text differs by platform.
 
-The reports of drawn populations (``SIMULATED``) depend on the C
+The reports of lognormal populations (``SIMULATED``) depend on the C
 library's ``log``, ``exp`` and ``cos``.  ``tests/test_dispatch.py`` does
 not rerun them: under its glibc setting, glibc 2.36's non-FMA ``cos``
 differs by an ulp from the FMA one on some inputs, enough to move radii
-of the 8191-track population in the csv and json reports.
+of the 8191-track population in the csv and json reports.  A uniform
+draw (``UNIFORM``) calls no C library function, only splitmix64's
+integer steps and IEEE ``+`` and ``*``, so ``tests/test_dispatch.py``
+reruns those reports.
 """
 
 import contextlib
@@ -91,12 +94,22 @@ POPULATION = {
     "floor_n": 5e12,
 }
 SIZES = [8191, 8192, 8193, 3 * 8192 + 1, 200_000]
+UNIFORM_POPULATION = {
+    **POPULATION,
+    "distribution": {"kind": "uniform", "lo_m": 1e-3, "hi_m": 2e-2},
+}
+UNIFORM_SIZES = SIZES[:-1]
 ACCRUAL = {"cost_rate_w": 1.0, "time_step_s": 0.1, "max_time_s": 1.0}
 CONFIGS = {
     **{
         f"{mode}-{n}.json": {"mode": mode, "n_tracks": n, **POPULATION}
         for mode in ("tracks", "censor")
         for n in SIZES
+    },
+    **{
+        f"uniform-{mode}-{n}.json": {"mode": mode, "n_tracks": n, **UNIFORM_POPULATION}
+        for mode in ("tracks", "censor")
+        for n in UNIFORM_SIZES
     },
     "accrual-first.json": {"mode": "accrual", **ACCRUAL, "initial_budget_j": 0.0,
                            "budget_rate_w": 0.0},
@@ -236,6 +249,83 @@ SIMULATED = {
         b'', 0),
 }
 
+# argv -> (SHA-256 of stdout, stderr, exit code): the reports of uniform
+# populations, whose draws call no C library function
+UNIFORM = {
+    ("simulate", "uniform-tracks-8191.json", "--format", "text"): (
+        "3584bf24b7031c36712b0012b329d76329e4b679cb56c96bafa1f88dfcc83a1b",
+        b"", 0),
+    ("simulate", "uniform-tracks-8191.json", "--format", "csv"): (
+        "79cea5de23b605567f23e32d91f3a7614cf10da9883e79070086c1c5e939bc7a",
+        b"", 0),
+    ("simulate", "uniform-tracks-8191.json", "--format", "json"): (
+        "4766547b22db82094b5982e1012f6adb510715b2efd30b2b89f08e1b6020d873",
+        b"", 0),
+    ("simulate", "uniform-tracks-8192.json", "--format", "text"): (
+        "ced5fe8b56991ec8d93ac95e0353c145d66f2437b435b5a5af5c10007ca3bf56",
+        b"", 0),
+    ("simulate", "uniform-tracks-8192.json", "--format", "csv"): (
+        "201e3c25091c7ea22bda9c01fd117e6c169a46b3db49c97af9c3150652a7216c",
+        b"", 0),
+    ("simulate", "uniform-tracks-8192.json", "--format", "json"): (
+        "56d451d9ad44ba1a008ea71089f7bd5d99a8b5e02a1ab5e9236701c60ea201ad",
+        b"", 0),
+    ("simulate", "uniform-tracks-8193.json", "--format", "text"): (
+        "d4d5fe63e1145f5c8660992dfc11bfebe245ba0e5209c13c0f324e0616f2af32",
+        b"", 0),
+    ("simulate", "uniform-tracks-8193.json", "--format", "csv"): (
+        "8837a7a1a717194d9362148e36526029cc2db560db4f717d588ca96942551efa",
+        b"", 0),
+    ("simulate", "uniform-tracks-8193.json", "--format", "json"): (
+        "e4143ccc182a4b4a0a05bcc11e13e1a55057237654bab37149627be9835766b4",
+        b"", 0),
+    ("simulate", "uniform-tracks-24577.json", "--format", "text"): (
+        "6aad092a52b7d0562f490fb448118b3f824ee5a15bc4278773ddbdd31afbfccc",
+        b"", 0),
+    ("simulate", "uniform-tracks-24577.json", "--format", "csv"): (
+        "1b57f5a9904467142aa41115a696fba49bdc680db35a76a0db0ecd688822ec7e",
+        b"", 0),
+    ("simulate", "uniform-tracks-24577.json", "--format", "json"): (
+        "b531d1b15c7792b5efabcc4c9296646e92ba4627fa3fa0fced3d07e962206983",
+        b"", 0),
+    ("simulate", "uniform-censor-8191.json", "--format", "text"): (
+        "f991f0660e086e3c38909d92f8c81b03680729e69315b81e71fbaf693df43e51",
+        b"", 0),
+    ("simulate", "uniform-censor-8191.json", "--format", "csv"): (
+        "e2b602de3d8f2519c5a6033b354616e00700ada57973479772e01902fa5ccab3",
+        b"", 0),
+    ("simulate", "uniform-censor-8191.json", "--format", "json"): (
+        "77949d828e92334a6d2aee5e2104008c730e5c55ab6f95f332fc15d376cf5188",
+        b"", 0),
+    ("simulate", "uniform-censor-8192.json", "--format", "text"): (
+        "24aa7cc538cf3f34e428e7099e7f161123086dc74a67ff5e9a9dbfa66805c252",
+        b"", 0),
+    ("simulate", "uniform-censor-8192.json", "--format", "csv"): (
+        "5cea3b7438827fd78ef57772884b815f9a7875f6e7b604ffcf1402868e24813b",
+        b"", 0),
+    ("simulate", "uniform-censor-8192.json", "--format", "json"): (
+        "62dc5d4f9a47ed4853cf73195d6dc2d1076da83449cb8c3d5ca81ba4ca178c96",
+        b"", 0),
+    ("simulate", "uniform-censor-8193.json", "--format", "text"): (
+        "52f2078f82f6e65f95568a0645f4afa03372859b4db8a51887ec1af9de22847a",
+        b"", 0),
+    ("simulate", "uniform-censor-8193.json", "--format", "csv"): (
+        "ddeccabc0960cb561c8e129c8df73772df604815994af0474e9502f1b054aa37",
+        b"", 0),
+    ("simulate", "uniform-censor-8193.json", "--format", "json"): (
+        "240886c0824c91f69a368f6a85d4f62faca6819237c9268e02e913adfe718fd9",
+        b"", 0),
+    ("simulate", "uniform-censor-24577.json", "--format", "text"): (
+        "f4034245ed7eb196358ffb8435e8b9fc3946cccac8cbb8f7f9d1ebfac8ba54b4",
+        b"", 0),
+    ("simulate", "uniform-censor-24577.json", "--format", "csv"): (
+        "8306115f40872e269d0f0b4db449f1d9b454139fbe46b85e6f223827550bf23e",
+        b"", 0),
+    ("simulate", "uniform-censor-24577.json", "--format", "json"): (
+        "24324661c2604d3b491a75bae54d40c57c6c8757d67c3fffab8dc731f16ec36b",
+        b"", 0),
+}
+
 # argv -> (SHA-256 of stdout, stderr, exit code): every other call
 COMPUTED = {
     # analyze: the 2 MiB file, with the default and the other options
@@ -366,6 +456,11 @@ COMPUTED = {
 @pytest.mark.parametrize("argv", list(SIMULATED), ids=_test_id)
 def test_simulated_populations_are_golden(corpus_dir, monkeypatch, argv):
     run_golden(corpus_dir, monkeypatch, argv, SIMULATED[argv])
+
+
+@pytest.mark.parametrize("argv", list(UNIFORM), ids=_test_id)
+def test_uniform_populations_are_golden(corpus_dir, monkeypatch, argv):
+    run_golden(corpus_dir, monkeypatch, argv, UNIFORM[argv])
 
 
 @pytest.mark.parametrize("argv", list(COMPUTED), ids=_test_id)

@@ -10,13 +10,14 @@ for one process, so a second platform is emulated on this one:
 * ``GLIBC_TUNABLES`` clears the AVX2 and FMA bits that glibc's libm
   selects its variants by.
 
-The golden-hash tests of ``tests/test_cli.py`` and the corpus's calls
-that draw no population (``analyze``, ``budget``, ``constants``,
-accrual, sweep and the failing calls of ``tests/test_corpus.py``) run
-again in a pytest subprocess under each setting and under both.  The
-corpus's simulated populations stay out: their csv and json reports
-differ under the ``GLIBC_TUNABLES`` setting, because glibc's non-FMA
-``cos`` moves some draws by a few ulps.
+The golden-hash tests of ``tests/test_cli.py``, the corpus's uniform
+populations and its calls that draw no population (``analyze``,
+``budget``, ``constants``, accrual, sweep and the failing calls of
+``tests/test_corpus.py``) run again in a pytest subprocess under each
+setting and under both.  A uniform draw calls no C library function.
+The corpus's lognormal populations stay out: their csv and json
+reports differ under the ``GLIBC_TUNABLES`` setting, because glibc's
+non-FMA ``cos`` moves some draws by a few ulps.
 """
 
 import json
@@ -38,6 +39,7 @@ SETTINGS = {
 GOLDEN_TESTS = [
     "tests/test_cli.py::test_simulate_report_bytes_are_golden",
     "tests/test_cli.py::test_report_bytes_are_golden",
+    "tests/test_corpus.py::test_uniform_populations_are_golden",
     "tests/test_corpus.py::test_other_calls_are_golden",
 ]
 # float64 exp, log and cos: the numpy target each runs on
