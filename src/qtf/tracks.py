@@ -19,6 +19,7 @@ published values by construction; :func:`fixture_path` locates it, and
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,12 @@ def compute_stats(dataset: TrackDataset) -> TrackStats:
                 f"radius {name} overflows the float range"
                 f" (largest radius {float(radii[-1])!r} m)"
             )
+    # below this the variance is below the smallest normal float
+    if sigma < math.sqrt(sys.float_info.min) and radii[0] != radii[-1]:
+        raise DomainError(
+            "radius sigma underflows the float range"
+            f" (smallest radius {float(radii[0])!r} m)"
+        )
     middle = count // 2
     if count % 2:
         median = float(radii[middle])

@@ -793,6 +793,16 @@ class TestOverflowIsAConfigError:
         [line] = err.splitlines()
         assert line.startswith("qtf: error: radius mean overflows the float range")
 
+    def test_underflowing_sigma_is_one_line(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("r\n1e-300\n2e-300\n", encoding="utf-8")
+        proc = run_cli("analyze", str(path), "--unit", "m", "--format", "json")
+        assert proc.returncode == 1
+        assert not proc.stdout
+        assert proc.stderr.decode().splitlines() == [
+            "qtf: error: radius sigma underflows the float range (smallest radius 1e-300 m)"
+        ]
+
     @pytest.mark.parametrize("n_tracks", [2**31, 2**62, 2**63 - 1])
     @pytest.mark.parametrize(
         "distribution",

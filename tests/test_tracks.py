@@ -273,6 +273,26 @@ class TestStats:
         with pytest.raises(DomainError, match=f"radius {statistic} overflows"):
             compute_stats(make(rows, unit="m"))
 
+    @pytest.mark.parametrize(
+        "rows", [["1e-300", "2e-300"], ["1e-160", "2e-160"]], ids=["1e-300", "1e-160"]
+    )
+    def test_underflowing_sigma_is_domain_error(self, rows):
+        # the variance falls below the smallest normal float: sigma would
+        # read 0.0 (1e-300) or 4.99997e-161 (1e-160) and empty the band
+        with pytest.raises(DomainError) as info:
+            compute_stats(make(rows, unit="m"))
+        assert str(info.value) == (
+            f"radius sigma underflows the float range (smallest radius {rows[0]} m)"
+        )
+
+    @pytest.mark.parametrize(
+        "rows, sigma",
+        [(["1e-150", "2e-150"], 5e-151), (["1e-300", "1e-300"], 0.0)],
+        ids=["1e-150", "equal"],
+    )
+    def test_sigma_above_the_underflow_edge_or_of_equal_radii(self, rows, sigma):
+        assert compute_stats(make(rows, unit="m")).sigma_radius == sigma
+
     @given(
         st.lists(st.floats(min_value=1e-4, max_value=0.05), min_size=1, max_size=300)
     )
