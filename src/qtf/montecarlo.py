@@ -6,8 +6,8 @@ Two experiment families:
   configured radius distribution, then remove every track whose
   solvency index falls below a floor, modeling the all-or-nothing
   rendering rule.  Generation is counter-based (see :mod:`qtf.rng`):
-  track i of a run depends only on (seed, i), and a population is drawn
-  in vectorized blocks that equal the per-index definition bit for bit.
+  track i of a run depends only on (seed, i), and ``generate_tracks``
+  draws in blocks that equal the per-index definition bit for bit.
 * budget accrual -- discrete-time insolvency: cost and available work
   both grow linearly and collapse fires at the first step where
   cumulative cost strictly exceeds the available budget.  The closed
@@ -45,43 +45,15 @@ class Lognormal:
             raise DomainError(f"mu must be finite, got {self.mu}", "mu")
         require_nonnegative("sigma", self.sigma)
 
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        """Draws 0..n-1: draw i is exp(mu + sigma * std_normal(seed, i)).
+    def sample(self, seed: int, n: int, start: int = 0) -> np.ndarray:
+        """Draws start..start+n-1: draw i is exp(mu + sigma * std_normal(seed, i)),
+        with the C library's ``exp`` (see :func:`qtf.rng.libm_apply`).  One
+        past the float range is inf and one below it 0, without an error."""
+        from .rng import libm_apply, std_normal_range
 
-        The draws are made ``DRAW_BLOCK`` at a time into one output
-        array, so besides it only block-sized temporaries are held.
-        ``exp`` is the C library's (see :func:`qtf.rng.libm_apply`) and
-        fails as ``math.exp`` does: on a finite exponent whose result
-        overflows, not on an infinite one, and never on underflow.
-        """
-        from .rng import DRAW_BLOCK, libm_apply
-
-        out = np.empty(n)
-        for start in range(0, n, DRAW_BLOCK):
-            exponents = self._exponents(seed, start, min(DRAW_BLOCK, n - start))
-            try:
-                with np.errstate(over="raise", under="ignore"):
-                    out[start : start + exponents.size] = libm_apply(np.exp, exponents)
-            except FloatingPointError:
-                # named by the largest exponent of the whole run
-                largest = max(
-                    float(self._exponents(seed, i, min(DRAW_BLOCK, n - i)).max())
-                    for i in range(start, n, DRAW_BLOCK)
-                )
-                raise DomainError(f"lognormal draw overflows: exp({largest!r})") from None
-        return out
-
-    def _exponents(self, seed: int, start: int, size: int) -> np.ndarray:
-        """mu + sigma * std_normal(seed, i) for i in range(start, start +
-        size); one past the float range is inf, and one below it is
-        subnormal or 0, without a warning or an error."""
-        from .rng import std_normal_range
-
-        exponents = std_normal_range(seed, size, start)
         with np.errstate(over="ignore", under="ignore"):
-            exponents *= self.sigma
-            exponents += self.mu
-        return exponents
+            exponents = self.mu + self.sigma * std_normal_range(seed, n, start)
+            return libm_apply(np.exp, exponents)
 
     def describe(self) -> dict:
         return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
@@ -89,7 +61,9 @@ class Lognormal:
 
 @value_class
 class Uniform:
-    """Uniform radius distribution on [lo, hi) meters; lo must be > 0."""
+    """Uniform radius distribution on [lo, hi] meters; lo must be > 0.  The
+    largest draw can round to hi: Uniform(1.0, 3.0) gives 3.0 for unit
+    draw 1 - 2**-53."""
 
     lo: float
     hi: float
@@ -99,14 +73,13 @@ class Uniform:
         if not (math.isfinite(self.hi) and self.hi > self.lo):
             raise DomainError(f"hi must be finite and > lo, got {self.hi}", "hi")
 
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        """Draws 0..n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i)."""
+    def sample(self, seed: int, n: int, start: int = 0) -> np.ndarray:
+        """Draws start..start+n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i),
+        without an error where the product is subnormal."""
         from .rng import unit_uniform_range
 
-        draws = unit_uniform_range(seed, n)
-        draws *= self.hi - self.lo
-        draws += self.lo
-        return draws
+        with np.errstate(under="ignore"):
+            return self.lo + (self.hi - self.lo) * unit_uniform_range(seed, n, start)
 
     def describe(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -219,19 +192,24 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     """Draw ``n_tracks`` radii deterministically from (seed, index).
 
     Track i + 1 gets draw i of the seed's stream, so identical configs
-    produce identical datasets.
+    produce identical datasets.  Each block of ``DRAW_BLOCK`` draws goes
+    into the radius column and is checked for a radius not finite and > 0.
     """
+    from .rng import DRAW_BLOCK
     from .tracks import ID_DTYPE, TrackDataset
 
     dist = config.distribution
-    radii = dist.sample(config.seed, config.n_tracks)
+    radii = np.empty(config.n_tracks)
+    for start in range(0, config.n_tracks, DRAW_BLOCK):
+        block = radii[start : start + DRAW_BLOCK]
+        block[:] = dist.sample(config.seed, block.size, start)
+        if not (block.min() > 0 and block.max() < math.inf):
+            index = int((~(np.isfinite(block) & (block > 0))).argmax())
+            raise DomainError(
+                f"distribution produced radius {float(block[index])} at"
+                f" {start + index}; radii must be finite and > 0"
+            )
     ids = np.arange(1, config.n_tracks + 1, dtype=ID_DTYPE)
-    if not (radii.min() > 0 and radii.max() < math.inf):
-        index = int((~(np.isfinite(radii) & (radii > 0))).argmax())
-        raise DomainError(
-            f"distribution produced radius {float(radii[index])} at {index};"
-            " radii must be finite and > 0"
-        )
     # handed over: the dataset adopts read-only columns it alone owns
     ids.flags.writeable = False
     radii.flags.writeable = False

@@ -6,19 +6,20 @@ same.  That property is what the simulation determinism contract rests
 on.
 
 The scalar functions are the definition.  The ``*_range`` functions
-evaluate draws 0..n-1 in bulk and equal the scalar ones bit for bit:
-splitmix64 runs in uint64 numpy arithmetic, which wraps mod 2**64 just
-as the ``& _MASK64`` masks do.  A ``*_range`` function returns exactly
-``n`` values or raises ``ValueError``.  ``std_normal_range`` draws its
-``u1`` (even counters) and ``u2`` (odd counters) as two ``n``-long
-streams.  Its ``start`` offset gives draws start..start+n-1, so a
-caller can evaluate a long run in blocks of ``DRAW_BLOCK`` draws, as
-``Lognormal.sample`` does, and hold a few block-sized temporaries
-instead of several run-sized ones; the block a draw lands in does not
-change its value.  ``log``, ``cos`` and ``exp`` are the C library's,
-the functions the scalar path calls through ``math``: numpy's own SIMD
-``log`` and ``exp`` differ from them in the last ulp, so the bulk path
-reaches numpy's per-element libm loop instead (see :func:`libm_apply`).
+evaluate draws start..start+n-1 in bulk and equal the scalar ones bit
+for bit: splitmix64 runs in uint64 numpy arithmetic, which wraps mod
+2**64 just as the ``& _MASK64`` masks do.  A ``*_range`` function
+returns exactly ``n`` values or raises ``ValueError``.
+``std_normal_range`` draws its ``u1`` (even counters) and ``u2`` (odd
+counters) as two ``n``-long streams.  The ``start`` offset lets a
+caller evaluate a long run in blocks of ``DRAW_BLOCK`` draws, as
+``montecarlo.generate_tracks`` does, and hold a few block-sized
+temporaries instead of several run-sized ones; the block a draw lands
+in does not change its value.  ``log``, ``cos`` and ``exp`` are the C
+library's, the functions the scalar path calls through ``math``:
+numpy's own SIMD ``log`` and ``exp`` differ from them in the last ulp,
+so the bulk path reaches numpy's per-element libm loop instead (see
+:func:`libm_apply`).
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _splitmix(seed: int, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def raw64_range(seed: int, n: int) -> np.ndarray:
-    """``raw64(seed, c)`` for c in range(n), as a uint64 array."""
-    return _splitmix(seed, _counters(1, n, 1))
+def raw64_range(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """``raw64(seed, c)`` for c in range(start, start + n), as a uint64 array."""
+    return _splitmix(seed, _counters(start + 1, n, 1))
 
 
 def _unit(raw: np.ndarray, offset: int) -> np.ndarray:
@@ -125,9 +126,9 @@ def _unit(raw: np.ndarray, offset: int) -> np.ndarray:
     return unit
 
 
-def unit_uniform_range(seed: int, n: int) -> np.ndarray:
-    """``unit_uniform(seed, i)`` for i in range(n)."""
-    return _unit(raw64_range(seed, n), 0)
+def unit_uniform_range(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """``unit_uniform(seed, i)`` for i in range(start, start + n)."""
+    return _unit(raw64_range(seed, n, start), 0)
 
 
 def std_normal_range(seed: int, n: int, start: int = 0) -> np.ndarray:

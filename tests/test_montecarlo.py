@@ -24,7 +24,7 @@ from qtf.montecarlo import (
     run_accrual,
     sweep_prediction_1,
 )
-from qtf.rng import DRAW_BLOCK, std_normal, unit_uniform
+from qtf.rng import DRAW_BLOCK, std_normal, std_normal_range, unit_uniform
 from qtf.solvency import action_index, n_real_values
 from qtf.tracks import TrackDataset, parse_dataset
 
@@ -102,25 +102,47 @@ class TestGenerate:
             generate_tracks(config(dist=Lognormal(mu=800.0, sigma=1.0), n=5))
 
     def test_exponents_past_the_float_range_raise_without_a_warning(self):
-        # mu + sigma * z is +-inf for most draws; the error names the
-        # largest exponent and numpy warns of no overflow on the way
+        # mu + sigma * z is +-inf for most draws: the draws are inf or 0,
+        # numpy warns of no overflow, and the run is refused at draw 0
         big = 1.7976931348623157e308
-        with pytest.raises(DomainError, match=r"^lognormal draw overflows: exp\(inf\)$"):
-            Lognormal(mu=big, sigma=big).sample(1, 20)
+        dist = Lognormal(mu=big, sigma=big)
+        assert set(dist.sample(1, 20).tolist()) <= {0.0, math.inf}
+        with pytest.raises(
+            DomainError,
+            match=r"^distribution produced radius (inf|0\.0) at 0; radii must be finite and > 0$",
+        ):
+            generate_tracks(config(seed=1, n=20, dist=dist))
 
-    def test_overflow_in_a_later_block_names_the_largest_exponent_of_the_run(self):
-        # block 0 stays in range, block 1 is the first to overflow and
-        # block 2 holds the largest draw of the run
+    @pytest.mark.parametrize(
+        "edge, radius",
+        [
+            (math.log(np.finfo(np.float64).max), "inf"),
+            (math.log(np.finfo(np.float64).smallest_subnormal) - math.log(2.0), "0.0"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_the_first_bad_radius_of_a_later_block_is_named_by_its_run_index(
+        self, edge, radius
+    ):
+        # block 0 stays in range and block 1 holds the first draw past
+        # the edge: the error names that draw's index in the run
         seed, n = 9, 3 * DRAW_BLOCK
-        z = [std_normal(seed, i) for i in range(n)]
-        top = [max(z[k * DRAW_BLOCK : (k + 1) * DRAW_BLOCK]) for k in range(3)]
-        assert top[0] < top[1] < top[2]
-        mu = math.log(np.finfo(np.float64).max) - (top[0] + top[1]) / 2.0
+        z = std_normal_range(seed, 2 * DRAW_BLOCK)
+        sign = 1.0 if radius == "inf" else -1.0
+        top = [float((sign * z[k * DRAW_BLOCK : (k + 1) * DRAW_BLOCK]).max()) for k in range(2)]
+        assert top[0] < top[1]
+        dist = Lognormal(mu=edge - sign * (top[0] + top[1]) / 2.0, sigma=1.0)
+        radii = dist.sample(seed, n)
+        bad = int(np.flatnonzero(~(np.isfinite(radii) & (radii > 0)))[0])
+        assert DRAW_BLOCK <= bad < 2 * DRAW_BLOCK
+        assert repr(float(radii[bad])) == radius
         with pytest.raises(DomainError) as info:
-            Lognormal(mu=mu, sigma=1.0).sample(seed, n)
-        assert str(info.value) == f"lognormal draw overflows: exp({mu + top[2]!r})"
+            generate_tracks(config(seed=seed, n=n, dist=dist))
+        assert str(info.value) == (
+            f"distribution produced radius {radius} at {bad}; radii must be finite and > 0"
+        )
         # the first block alone is drawn without an error
-        Lognormal(mu=mu, sigma=1.0).sample(seed, DRAW_BLOCK)
+        generate_tracks(config(seed=seed, n=DRAW_BLOCK, dist=dist))
 
     def test_underflowing_lognormal_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -139,6 +161,7 @@ class TestGenerate:
             (LOGNORMAL_B5, DRAW_BLOCK + 5),
             (Lognormal(mu=0.0, sigma=1e-310), 50),  # sigma * z underflows
             (Uniform(lo=1e-3, hi=2e-2), 50),
+            (Uniform(lo=1e-310, hi=2e-310), 50),  # (hi - lo) * u underflows
             (Lognormal(mu=800.0, sigma=1.0), 5),
             (Lognormal(mu=-800.0, sigma=1.0), 5),
         ]
@@ -146,8 +169,8 @@ class TestGenerate:
         with np.errstate(all="raise"):
             strict = [outcome(*case) for case in cases]
         assert strict == plain
-        assert plain[3].startswith("lognormal draw overflows: exp(")
-        assert plain[4].startswith("distribution produced radius 0.0 at 0;")
+        assert plain[4].startswith("distribution produced radius inf at 0;")
+        assert plain[5].startswith("distribution produced radius 0.0 at 0;")
 
     def test_track_i_is_draw_i(self):
         ds = generate_tracks(config(seed=-5, n=300))
@@ -203,7 +226,7 @@ class TestBulkSampling:
         ids=["lognormal", "uniform"],
     )
     def test_block_boundaries_equal_per_index_definition(self, seed, n, dist, ref):
-        bulk = dist.sample(seed, n)
+        bulk = generate_tracks(config(seed=seed, n=n, dist=dist)).radii
         expected = np.array([ref(dist, seed, i) for i in range(n)])
         assert bulk.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 

@@ -67,15 +67,29 @@ def test_negative_seed_is_normalized():
 SEEDS = st.integers(min_value=-(2**70), max_value=2**70 + 3)
 
 
-@given(seed=SEEDS, n=st.integers(min_value=0, max_value=300))
-@example(seed=-1, n=50)
-@example(seed=2**64 - 1, n=50)
-@example(seed=2**70 + 3, n=50)
+# Draws start..start+n-1: from 0, from small offsets and from offsets
+# past 2**32.
+STARTS = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=10_000),
+    st.integers(min_value=2**32, max_value=2**40),
+)
+
+
+@given(seed=SEEDS, n=st.integers(min_value=0, max_value=300), start=STARTS)
+@example(seed=-1, n=50, start=0)
+@example(seed=2**64 - 1, n=50, start=0)
+@example(seed=2**70 + 3, n=50, start=0)
+@example(seed=5, n=50, start=8192)
+@example(seed=5, n=50, start=2**32 + 1)
 @settings(deadline=None)
-def test_bulk_draws_equal_scalar_definition(seed, n):
-    assert raw64_range(seed, n).tolist() == [raw64(seed, i) for i in range(n)]
-    assert unit_uniform_range(seed, n).tolist() == [unit_uniform(seed, i) for i in range(n)]
-    assert std_normal_range(seed, n).tolist() == [std_normal(seed, i) for i in range(n)]
+def test_bulk_draws_equal_scalar_definition(seed, n, start):
+    counters = range(start, start + n)
+    assert raw64_range(seed, n, start).tolist() == [raw64(seed, i) for i in counters]
+    assert unit_uniform_range(seed, n, start).tolist() == [
+        unit_uniform(seed, i) for i in counters
+    ]
+    assert std_normal_range(seed, n, start).tolist() == [std_normal(seed, i) for i in counters]
 
 
 @given(
