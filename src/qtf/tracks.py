@@ -283,7 +283,7 @@ def compute_stats(dataset: TrackDataset) -> TrackStats:
         raise DataError("cannot compute statistics of an empty dataset")
     radii = np.sort(dataset.radii)
     count = int(radii.size)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         mean = float(radii.mean())
         sigma = float(radii.std())
     low = mean - sigma

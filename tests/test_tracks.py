@@ -278,9 +278,11 @@ class TestStats:
     )
     def test_underflowing_sigma_is_domain_error(self, rows):
         # the variance falls below the smallest normal float: sigma would
-        # read 0.0 (1e-300) or 4.99997e-161 (1e-160) and empty the band
-        with pytest.raises(DomainError) as info:
-            compute_stats(make(rows, unit="m"))
+        # read 0.0 (1e-300) or 4.99997e-161 (1e-160) and empty the band;
+        # a caller's np.errstate does not turn the error into another
+        dataset = make(rows, unit="m")
+        with pytest.raises(DomainError) as info, np.errstate(all="raise"):
+            compute_stats(dataset)
         assert str(info.value) == (
             f"radius sigma underflows the float range (smallest radius {rows[0]} m)"
         )
