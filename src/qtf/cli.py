@@ -11,7 +11,7 @@ and ``_run`` writes every report.
 Every report embeds a run manifest (tool version, subcommand, resolved
 configuration, content digest of the input, seed) and contains no
 timestamps: two runs with equal manifests produce byte-identical
-reports.  ``QTF_SEED`` overrides the config seed for ``simulate``.
+reports.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from .montecarlo import AccrualOutcome, Lognormal, Uniform
     from .solvency import ParticleSpec
 
-SEED_ENV_VAR = "QTF_SEED"
 # The momentum route and action floor of a run that names neither:
 # analyze's --momentum and --floor, and a simulate config without the
 # momentum_source or floor_n key.
@@ -507,14 +506,6 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
             {"particle", "momentum_source", "floor_n"},
         )
         seed = _config_int(config, "seed")
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError as exc:
-                raise DomainError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from exc
 
     resolved = dict(config)
     if seed is not None:
@@ -550,9 +541,8 @@ def _out_path(value: str) -> str:
 
 _DESCRIPTION = """Collapse-solvency indices of track radii, energy budgets and
 seeded Monte Carlo simulations. Each report goes to stdout, or to the --out
-file, and each error to stderr as one line. QTF_SEED overrides the seed of a
-simulate config. Exit status: 0 on success, 2 on a data error, 130 when
-interrupted, 1 on any other error."""
+file, and each error to stderr as one line. Exit status: 0 on success, 2 on a
+data error, 130 when interrupted, 1 on any other error."""
 
 
 def _build_parser() -> _Parser:

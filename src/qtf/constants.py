@@ -10,8 +10,8 @@ tiers are kept deliberately separate:
 * :class:`PaperValues` holds the rounded magnitudes stated in the source
   publication, transcribed verbatim.  They are comparison targets for
   golden tests and the discrepancy audit, never inputs to derivations
-  unless a caller explicitly selects them (e.g. the ``paper-stated``
-  momentum source).
+  unless a caller explicitly selects them (e.g. the ``paper`` momentum
+  route).
 
 Both are exported in a machine-readable snapshot, printed by
 ``qtf constants --format json``, so the transcription itself is

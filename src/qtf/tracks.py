@@ -32,12 +32,8 @@ from .solvency import ParticleSpec, momentum_from_energy, n_real_values
 MOMENTUM_PAPER = "paper-stated"
 MOMENTUM_DERIVED = "derived-from-spec"
 
-_MOMENTUM_ALIASES = {
-    "paper": MOMENTUM_PAPER,
-    MOMENTUM_PAPER: MOMENTUM_PAPER,
-    "derived": MOMENTUM_DERIVED,
-    MOMENTUM_DERIVED: MOMENTUM_DERIVED,
-}
+# Each momentum route a caller selects, mapped to its label in a report
+_MOMENTUM_LABELS = {"paper": MOMENTUM_PAPER, "derived": MOMENTUM_DERIVED}
 
 
 # The dtype of track ids, and so the most tracks a population can hold.
@@ -330,29 +326,29 @@ def resolve_momentum(
     momentum_source: str,
     particle: ParticleSpec | None = None,
 ) -> tuple[float, str]:
-    """Map a momentum selector to (momentum, canonical source label).
+    """Map a momentum route to (momentum, its label in a report).
 
     ``paper`` uses the stated momentum constant; ``derived`` computes
     sqrt(2*m*E) from the particle spec (stated alpha values by default).
     A particle given with ``paper`` would go unused, so it is an error.
     """
     try:
-        canonical = _MOMENTUM_ALIASES[momentum_source]
+        label = _MOMENTUM_LABELS[momentum_source]
     except (KeyError, TypeError):  # TypeError: an unhashable selector
         raise DomainError(
-            f"momentum_source must be one of {sorted(set(_MOMENTUM_ALIASES))},"
+            f"momentum_source must be one of {sorted(_MOMENTUM_LABELS)},"
             f" got {momentum_source!r}"
         ) from None
     paper = get_paper_values()
-    if canonical == MOMENTUM_PAPER:
+    if label == MOMENTUM_PAPER:
         if particle is not None:
             raise DomainError(
                 "particle is used only by the derived momentum route,"
                 f" but momentum_source is {momentum_source!r}"
             )
-        return paper.momentum, canonical
+        return paper.momentum, label
     particle = particle or ParticleSpec(paper.alpha_mass, paper.alpha_energy)
-    return momentum_from_energy(particle), canonical
+    return momentum_from_energy(particle), label
 
 
 def solvency_report(

@@ -32,7 +32,6 @@ def run_cli(
     captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("QTF_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -158,7 +158,10 @@ class TestExitCodes:
         bad_particle = write_config(
             tmp_path, {**CENSOR_CONFIG, "particle": "alpha"}
         )
-        assert run_cli("simulate", bad_particle).returncode == 1
+        proc = run_cli("simulate", bad_particle)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == (
+            b"qtf: error: particle must be an object with mass_kg/kinetic_energy_j\n")
 
     def test_success_is_zero(self):
         assert run_cli("constants").returncode == 0
@@ -353,17 +356,15 @@ class TestSimulateCommand:
         path = write_config(tmp_path, CENSOR_CONFIG)
         assert run_cli("simulate", path).stdout == run_cli("simulate", path).stdout
 
-    def test_env_seed_override(self, tmp_path):
+    @pytest.mark.parametrize("value", ["7", "not-a-number"])
+    def test_the_seed_comes_from_the_config_alone(self, tmp_path, value):
+        # qtf reads no seed from the environment, so QTF_SEED changes nothing
         path = write_config(tmp_path, CENSOR_CONFIG)
-        default = run_cli("simulate", path)
-        overridden = run_cli("simulate", path, env_extra={"QTF_SEED": "7"})
-        assert default.stdout != overridden.stdout
-        assert json.loads(overridden.stdout)["manifest"]["seed"] == 7
-
-    def test_bad_env_seed_is_config_error(self, tmp_path):
-        path = write_config(tmp_path, CENSOR_CONFIG)
-        proc = run_cli("simulate", path, env_extra={"QTF_SEED": "not-a-number"})
-        assert proc.returncode == 1
+        plain = run_cli("simulate", path)
+        exported = run_cli("simulate", path, env_extra={"QTF_SEED": value})
+        assert plain.returncode == 0
+        assert (exported.stdout, exported.stderr, exported.returncode) == (
+            plain.stdout, plain.stderr, plain.returncode)
 
     def test_particle_without_the_derived_route_is_config_error(self, tmp_path):
         config = {**CENSOR_CONFIG, "mode": "tracks", "particle": PARTICLE}
@@ -1019,6 +1020,10 @@ CALLER_NAMED_ERRORS = {
     "time_step_s": (
         {**ACCRUAL_CONFIG, "time_step_s": -1},
         "time_step_s must be finite and > 0, got -1.0"),
+    "mu-nan": (
+        {**CENSOR_CONFIG,
+         "distribution": {"kind": "lognormal", "mu": float("nan"), "sigma": 1.0}},
+        "distribution.mu must be finite, got nan"),
     "lo_m": (_uniform(-1, 2e-3), "distribution.lo_m must be finite and > 0, got -1.0"),
     "hi_m-below-lo_m": (
         _uniform(1e-4, 1e-5),
@@ -1093,8 +1098,10 @@ UNDRAWN_KEYS = {
     "negative-floor_n": ({"floor_n": -1.0}, "floor_n must be finite and >= 0, got -1.0"),
     "unknown-momentum_source": (
         {"momentum_source": "bogus"},
-        "momentum_source must be one of ['derived', 'derived-from-spec', 'paper',"
-        " 'paper-stated'], got 'bogus'"),
+        "momentum_source must be one of ['derived', 'paper'], got 'bogus'"),
+    "report-label-as-momentum_source": (
+        {"momentum_source": "paper-stated"},
+        "momentum_source must be one of ['derived', 'paper'], got 'paper-stated'"),
     "particle-on-the-paper-route": (
         {"particle": {"mass_kg": 6.64e-27, "kinetic_energy_j": 8.01e-13}},
         "particle is used only by the derived momentum route, but momentum_source is 'paper'"),
@@ -1137,8 +1144,7 @@ def test_a_config_with_several_bad_keys_names_them_in_a_fixed_order(
          "n_tracks must be an integer in [1, 2147483647], got 0"),
         ({"n_tracks": 228}, "floor_n must be finite and >= 0, got -1.0"),
         ({"floor_n": 1e12},
-         "momentum_source must be one of ['derived', 'derived-from-spec', 'paper',"
-         " 'paper-stated'], got 'bogus'"),
+         "momentum_source must be one of ['derived', 'paper'], got 'bogus'"),
     ]
     for mend, message in steps:
         config.update(mend)

@@ -39,7 +39,7 @@ import json
 
 import pytest
 
-from qtf.cli import SEED_ENV_VAR, main
+from qtf.cli import main
 
 MIB = 2**20
 
@@ -140,7 +140,6 @@ def corpus_dir(tmp_path_factory):
 
 def run_golden(corpus_dir, monkeypatch, argv: tuple[str, ...], expected) -> None:
     monkeypatch.chdir(corpus_dir)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))

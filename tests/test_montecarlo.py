@@ -89,6 +89,9 @@ class TestGenerate:
             Uniform(lo=0.0, hi=1.0)
         with pytest.raises(DomainError):
             Lognormal(mu=0.0, sigma=-1.0)
+        with pytest.raises(DomainError, match="^mu must be finite, got nan$") as info:
+            Lognormal(mu=float("nan"), sigma=1.0)
+        assert info.value.name == "mu"
         with pytest.raises(DomainError):
             lognormal_from_moments(-1.0, 1.0)
 

@@ -1,8 +1,10 @@
-"""Import-time behaviour: numpy's OpenBLAS loads with one thread, each
-public name imports from its defining module, subcommand layers load on
-first use, and the process entry point freezes the import-time objects
-out of the collector."""
+"""Import-time behaviour: numpy's OpenBLAS loads with one thread, by the
+only code in qtf that reads the environment, each public name imports
+from its defining module, subcommand layers load on first use, and the
+process entry point freezes the import-time objects out of the
+collector."""
 
+import ast
 import importlib
 import json
 import os
@@ -113,6 +115,30 @@ def test_import_starts_no_thread():
         "print(json.dumps(int(status.split('Threads:')[1].split()[0])))\n"
     )
     assert doc == 1
+
+
+# The names through which os reads the process environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Each line of ``path`` that names an environment reader of ``os``,
+    as an attribute or in a ``from os import``, as ``FILE:LINE``."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if ENVIRONMENT_READERS.intersection(a.name for a in node.names):
+                lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_the_blas_guard_reads_the_environment():
+    # a report follows from the command line and the input files alone;
+    # qtf/__init__.py reads the BLAS thread variables to load numpy
+    reads = [r for p in sorted((SRC / "qtf").glob("*.py")) for r in environment_reads(p)]
+    assert {r.partition(":")[0] for r in reads} == {"__init__.py"}, reads
 
 
 HEAVY_MODULES = ("qtf.tracks", "qtf.montecarlo", "qtf.solvency", "qtf.rng", "_hashlib")

@@ -209,6 +209,8 @@ class TestColumnarDataset:
             ([7, 2**31], "2147483648"),
             ([-(2**31) - 1], "-2147483649"),
             ([float("nan")], "nan"),
+            ([1.0, 2.5], "2.5"),
+            (["a"], "'a'"),
         ],
     )
     def test_ids_an_int32_cannot_hold_are_refused(self, ids, named):
@@ -225,6 +227,9 @@ class TestColumnarDataset:
         assert make(["5.0", "6.0"]) != make(["5.0", "6.5"])
         assert make(["5.0", "6.0"]) != make(["5.0", "6.0", "x"])  # one row dropped
         assert make(["5.0"]) != parse_dataset("5.0", unit="mm", source_label="other")
+        # a value that is not a dataset is left to the other side's __eq__
+        assert make(["5.0"]).__eq__(5) is NotImplemented
+        assert (make(["5.0"]) == 5) is False
 
     def test_records_are_derived_from_the_columns(self):
         ds = make(["5.0", "abc", "6.0"])
@@ -399,15 +404,21 @@ class TestSolvencyReport:
         )
         assert report.momentum_used == 2.0
 
-    @pytest.mark.parametrize("route", ["paper", "paper-stated"])
-    def test_particle_with_the_paper_route_is_rejected(self, route):
+    def test_particle_with_the_paper_route_is_rejected(self):
         # the stated momentum never reads the particle
         with pytest.raises(DomainError, match="particle is used only by the derived"):
             solvency_report(
                 make(["6.67"]),
                 particle=ParticleSpec(mass=2.0, kinetic_energy=1.0),
-                momentum_source=route,
+                momentum_source="paper",
             )
+
+    @pytest.mark.parametrize("label", ["paper-stated", "derived-from-spec"])
+    def test_a_report_label_is_not_a_momentum_route(self, label):
+        with pytest.raises(DomainError) as info:
+            solvency_report(make(["6.67"]), momentum_source=label)
+        assert str(info.value) == (
+            f"momentum_source must be one of ['derived', 'paper'], got {label!r}")
 
     def test_floor_detection(self):
         ds = make(["6.67"])
