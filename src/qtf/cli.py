@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 import argparse
-import atexit
+import errno
 import gc
 import json
 import os
@@ -26,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .constants import constants_snapshot, get_paper_values, sci
@@ -59,6 +59,22 @@ def _error_line(message: str, kind: str = "error") -> str:
     ``qtf: data error: ...``, with the line breaks of ``message``
     escaped."""
     return f"qtf: {kind}: {message.translate(_ESCAPE_LINE_BREAKS)}\n"
+
+
+def _report_error(message: str, kind: str = "error") -> None:
+    """Write an error line to stderr, unless stderr is closed or full."""
+    try:
+        _not_closed(sys.stderr).write(_error_line(message, kind))
+    except OSError:
+        pass
+
+
+def _not_closed(stream):
+    """``stream``, a standard stream; one whose fd was closed when the
+    process started is ``None``, and fails as a write to that fd does."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
 
 
 def _digest(data: bytes) -> str:
@@ -158,7 +174,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message: str, file=None) -> None:
         if message:
-            file = file or sys.stderr
+            file = _not_closed(file)
             file.write(message)
             file.flush()
 
@@ -591,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # a usage error, --help or --version
         return exc.code
     except OSError as exc:
-        sys.stderr.write(_error_line(f"cannot write standard output: {exc}"))
+        _report_error(f"cannot write standard output: {exc}")
         return 1
     # reported once the traceback, and the run's frames, are gone
     try:
@@ -600,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"out of memory running {args.subcommand}", 1
     except KeyboardInterrupt:
         message, code = "interrupted", 130
-    sys.stderr.write(_error_line(message))
+    _report_error(message)
     return code
 
 
@@ -609,21 +625,21 @@ def _run(args: argparse.Namespace) -> int:
     try:
         report = _render(*args.func(args))
     except DataError as exc:
-        sys.stderr.write(_error_line(str(exc), "data error"))
+        _report_error(str(exc), "data error")
         return 2
     except QtfError as exc:
-        sys.stderr.write(_error_line(str(exc)))
+        _report_error(str(exc))
         return 1
     try:
         if args.out is not None:
             # encoded before the file is opened: out of memory leaves it as it was
             Path(args.out).write_bytes(report.encode("utf-8"))
         else:
-            sys.stdout.write(report)
+            _not_closed(sys.stdout).write(report)
             sys.stdout.flush()
     except OSError as exc:
         target = args.out or "standard output"
-        sys.stderr.write(_error_line(f"cannot write {target}: {exc}"))
+        _report_error(f"cannot write {target}: {exc}")
         return 1
     return 0
 
@@ -633,42 +649,24 @@ def run() -> None:
     ``sys.argv``, exiting with its code.
 
     The objects built by the imports live until the process exits, so
-    they are frozen out of the garbage collector first: no collection
-    walks them again.
+    they are frozen out of the garbage collector first: no collection,
+    nor the interpreter's teardown, walks them again.
 
-    A report that ``main`` could not write to stdout stays in its
-    buffer; fd 1 is then pointed at the null device, so that the flush
-    at exit cannot fail again, nor a normal exit turn exit 1 into 120.
+    An error line or a report that ``main`` could not write stays in
+    its stream's buffer; the stream's fd is then pointed at the null
+    device, so that the flush at exit cannot fail again, nor turn the
+    exit code into 120.
     """
     gc.freeze()
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    _exit_process(code)
-
-
-def _exit_process(code: int) -> NoReturn:
-    """End the process with ``code`` once its output is written.
-
-    The interpreter's teardown frees every object one by one, about
-    5 ms that no qtf process needs: so the atexit handlers run, stdout
-    and stderr are flushed, and the process ends with ``os._exit``.
-    Under a profiler or a tracer (a debugger, coverage) the process
-    exits normally, so that the tool sees the exit and writes its data.
-    """
-    if sys.getprofile() is not None or sys.gettrace() is not None:
-        sys.exit(code)
-    atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed
         try:
             stream.flush()
         except OSError:
-            pass
-    os._exit(code)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

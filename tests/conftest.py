@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # let a bare checkout run pytest without installing first
@@ -19,43 +17,42 @@ if str(SRC) not in sys.path:
 HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
+# Closes the fds listed in argv[1], then runs python on the rest of argv.
+CLOSING_LAUNCHER = (
+    "import os, sys\n"
+    "for fd in sys.argv[1].split(','):\n"
+    "    os.close(int(fd))\n"
+    "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])\n"
+)
+
+
 def run_cli(
     *args: str,
     env_extra: dict[str, str] | None = None,
     cwd: str | Path | None = None,
     timeout: float | None = None,
     stdout=subprocess.PIPE,
+    stderr=subprocess.PIPE,
+    closed: tuple[int, ...] = (),
 ) -> subprocess.CompletedProcess:
     """Run the CLI black-box in a subprocess, source tree on the path;
     past ``timeout`` seconds it is killed and ``TimeoutExpired`` raised.
-    Its stdout goes to ``stdout`` (captured by default), its stderr is
-    captured."""
+    Its stdout goes to ``stdout`` and its stderr to ``stderr`` (both
+    captured by default); the fds in ``closed`` are closed before the
+    interpreter starts, so that their ``sys`` streams are ``None``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
+    launcher = ["-c", CLOSING_LAUNCHER, ",".join(map(str, closed))] if closed else []
     return subprocess.run(
-        [sys.executable, "-m", "qtf", *args],
+        [sys.executable, *launcher, "-m", "qtf", *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
         cwd=cwd,
         timeout=timeout,
     )
-
-
-@pytest.fixture(autouse=True)
-def _run_exits_by_raising(monkeypatch):
-    """``qtf.cli.run()`` ends its process once the report is written,
-    with ``os._exit``: called in a test it would end pytest itself,
-    with exit status 0.  Here it raises ``SystemExit(code)`` instead,
-    and pytest's own atexit handlers are not run."""
-    import qtf.cli
-
-    def raise_exit(code: int):
-        raise SystemExit(code)
-
-    monkeypatch.setattr(qtf.cli, "_exit_process", raise_exit)
 
 
 _ACCEPTANCE_RE = re.compile(r"test_acceptance\.py::test_c(\d+)")

@@ -579,25 +579,29 @@ class TestMainBoundary:
         assert not captured.out
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("target", ["dev-full", "closed-pipe", "closed"])
     @pytest.mark.parametrize(
         "argv", [["constants"], ["analyze", FIXTURE, "--format", "csv"]], ids=["constants", "analyze"]
     )
     def test_failed_stdout_write_is_config_error(self, monkeypatch, unbuffered, target, argv):
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        closed = ()
         if target == "dev-full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
             stdout = open("/dev/full", "wb")
-        else:
+        elif target == "closed-pipe":
             read_end, write_end = os.pipe()
             os.close(read_end)  # no reader: every write fails with EPIPE
             stdout = os.fdopen(write_end, "wb")
+        else:  # no fd 1 at all: sys.stdout is None
+            stdout, closed = open(os.devnull, "wb"), (1,)
         with stdout:
             proc = run_cli(
                 *argv,
                 env_extra={"PYTHONUNBUFFERED": "1"} if unbuffered else None,
                 stdout=stdout,
+                closed=closed,
                 timeout=60,
             )
         assert proc.returncode == 1
@@ -606,23 +610,44 @@ class TestMainBoundary:
         assert line.startswith("qtf: error: cannot write standard output: [Errno ")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["dev-full", "closed"])
     @pytest.mark.parametrize("flag", ["--version", "--help"])
-    def test_failed_version_or_help_write_is_config_error(self, monkeypatch, unbuffered, flag):
+    def test_failed_version_or_help_write_is_config_error(
+        self, monkeypatch, unbuffered, target, flag
+    ):
         # argparse itself would drop the OSError: exit 0 with nothing
-        # written, or "Exception ignored" and exit 120 from the exit flush
-        if not os.path.exists("/dev/full"):
+        # written, or "Exception ignored" and exit 120 from the exit flush;
+        # with no fd 1 it would write to stderr instead
+        if target == "dev-full" and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        with open("/dev/full", "wb") as stdout:
+        with open("/dev/full" if target == "dev-full" else os.devnull, "wb") as stdout:
             proc = run_cli(
                 flag,
                 env_extra={"PYTHONUNBUFFERED": "1"} if unbuffered else None,
                 stdout=stdout,
+                closed=(1,) if target == "closed" else (),
                 timeout=60,
             )
         assert proc.returncode == 1
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith("qtf: error: cannot write standard output: [Errno ")
+
+    @pytest.mark.parametrize("stream", ["stdout-closed", "stderr-closed", "stderr-dev-full"])
+    def test_data_error_is_exit_2_whatever_the_standard_streams(self, stream):
+        # the error line goes where it can; the exit code says what failed
+        if stream == "stderr-dev-full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = ["analyze", "/nonexistent/tracks.csv"]
+        if stream == "stderr-dev-full":
+            with open("/dev/full", "wb") as stderr:
+                proc = run_cli(*argv, stderr=stderr, timeout=60)
+        else:
+            proc = run_cli(*argv, closed=(1 if stream == "stdout-closed" else 2,), timeout=60)
+        assert proc.returncode == 2
+        if stream == "stdout-closed":  # no traceback after the error line
+            [line] = proc.stderr.decode().splitlines()
+            assert line.startswith("qtf: data error: cannot read ")
 
 
 class TestOneSourcePerDefault:

@@ -1,10 +1,9 @@
 """The process exit of ``qtf.cli.run()``, in fresh interpreters.
 
-``run()`` ends the process at its last write: it runs the atexit
-handlers, flushes stdout and stderr, and calls ``os._exit`` with the
-code of ``main()``.  Under a profiler or a tracer it exits normally.
-A run that runs out of memory ends in one error line and exit 1, an
-interrupted run in one error line and exit 130.
+``run()`` exits through ``sys.exit`` with the code of ``main()``: the
+caller's ``finally`` blocks and the atexit handlers run, and what they
+write is flushed.  A run that runs out of memory ends in one error line
+and exit 1, an interrupted run in one error line and exit 130.
 """
 
 import json
@@ -115,35 +114,24 @@ def test_large_report_to_a_full_device_is_one_error_line(large_config):
     assert line.startswith("qtf: error: cannot write standard output: [Errno ")
 
 
-def test_process_ends_at_its_last_write_after_the_atexit_handlers():
-    # the handlers run, and what they write is flushed; the frames
-    # around run() never unwind
+def test_process_exits_with_the_code_of_main_through_finally_and_atexit():
+    # SystemExit unwinds through the caller's finally block; the atexit
+    # handlers run after it, last registered first, and their output is
+    # flushed
     code = entry_point(
         ["analyze", "/nonexistent/tracks.csv"],
         before=(
             "atexit.register(print, 'first handler')\n"
             "atexit.register(sys.stderr.write, 'second handler\\n')"
         ),
-        after="print('unwound')",
+        after="print('unwound', sys.exc_info()[1].code)",
     )
     proc = run_python("-c", code)
     assert proc.returncode == 2
-    assert proc.stdout == b"first handler\n"
+    assert proc.stdout == b"unwound 2\nfirst handler\n"
     lines = proc.stderr.decode().splitlines()
     assert lines[0].startswith("qtf: data error: cannot read ")
     assert lines[1:] == ["second handler"]
-
-
-@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
-def test_traced_or_profiled_process_exits_normally(hook):
-    code = entry_point(
-        ["constants", "--out", os.devnull],
-        before=f"sys.{hook}(lambda *args: None)",
-        after=f"sys.{hook}(None); print('unwound', sys.exc_info()[1].code)",
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0
-    assert proc.stdout == b"unwound 0\n"
 
 
 def test_cprofile_writes_its_profile(tmp_path):

@@ -511,6 +511,16 @@ class TestAccrual:
         assert 33333333 * 0.001 == 33333.333
         assert config.n_steps == 33333333
 
+    def test_step_count_slack_is_1e_9(self):
+        # 9.9999995 steps: within a 1e-6 slack of 10, not within 1e-9
+        assert AccrualConfig(10, 1, 2, time_step=1.0, max_time=9.9999995).n_steps == 9
+
+    def test_step_count_past_2_53_is_the_quotient(self):
+        # (2**53 + 1) * 1.0 rounds to 2**53: without the guard a step
+        # beyond max_time would be counted
+        with pytest.raises(DomainError, match="accrual run of 9007199254740992 steps"):
+            AccrualConfig(10, 1, 2, time_step=1.0, max_time=2.0**53)
+
     @given(
         time_step=st.floats(min_value=1e-4, max_value=1.0),
         ratio=st.integers(min_value=1, max_value=10**8).map(float)

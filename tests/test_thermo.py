@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -287,6 +288,16 @@ class TestBudgetAndAudit:
         records = {r.quantity: r for r in audit_against_paper(compute_budget(ThermoQuery()))}
         for name, record in records.items():
             assert record.flagged == (record.relative_gap > 0.10), name
+        # gaps of 9.5% and 10.5% either side of the 10% threshold
+        stated = STATED_MAGNITUDES["erase_per_bit"]
+        budget = compute_budget(ThermoQuery())
+        for factor, flagged in ((1.095, False), (1.105, True)):
+            [record] = [
+                r
+                for r in audit_against_paper(replace(budget, erase_per_bit=stated * factor))
+                if r.quantity == "erase_per_bit"
+            ]
+            assert record.flagged == flagged, factor
 
     def test_query_validation(self):
         with pytest.raises(DomainError):

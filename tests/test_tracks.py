@@ -63,6 +63,12 @@ class TestParse:
         assert ds.rows_read == 2
         assert ds.rows_dropped == 0
 
+    def test_leading_blank_row_is_not_the_header(self):
+        # the first row is the blank one: it and the header row are both
+        # read and dropped, where a header found past it would give 3 and 1
+        ds = parse_dataset("\nradius_mm\n1.0\n2.0\n")
+        assert (ds.rows_read, ds.rows_dropped) == (4, 2)
+
     def test_comments_ignored(self):
         ds = make(["# a comment", "5.0", "# another", "6.0"])
         assert ds.rows_read == 2
@@ -207,6 +213,7 @@ class TestColumnarDataset:
             ([1.5], "1.5"),
             (np.array([2**40, 5]), "1099511627776"),  # a plain cast gives 0
             ([7, 2**31], "2147483648"),
+            ([-1, 2**31], "2147483648"),  # a negative id is in range
             ([-(2**31) - 1], "-2147483649"),
             ([float("nan")], "nan"),
             ([1.0, 2.5], "2.5"),
