@@ -196,33 +196,24 @@ def generate_tracks(config: SimConfig) -> TrackDataset:
     into the radius column and is checked for a radius not finite and > 0.
     """
     from .rng import DRAW_BLOCK
-    from .tracks import ID_DTYPE, TrackDataset
+    from .tracks import ID_DTYPE, _first_bad_radius, _handover
 
     dist = config.distribution
     radii = np.empty(config.n_tracks)
     for start in range(0, config.n_tracks, DRAW_BLOCK):
         block = radii[start : start + DRAW_BLOCK]
         block[:] = dist.sample(config.seed, block.size, start)
-        if not (block.min() > 0 and block.max() < math.inf):
-            index = int((~(np.isfinite(block) & (block > 0))).argmax())
+        index = _first_bad_radius(block)
+        if index is not None:
             raise DomainError(
                 f"distribution produced radius {float(block[index])} at"
                 f" {start + index}; radii must be finite and > 0"
             )
     ids = np.arange(1, config.n_tracks + 1, dtype=ID_DTYPE)
-    # handed over: the dataset adopts read-only columns it alone owns
-    ids.flags.writeable = False
-    radii.flags.writeable = False
     label = (
         f"synthetic:{dist.describe()['kind']}:seed={config.seed}:n={config.n_tracks}"
     )
-    return TrackDataset(
-        ids=ids,
-        radii=radii,
-        source_label=label,
-        rows_read=config.n_tracks,
-        rows_dropped=0,
-    )
+    return _handover(ids, radii, label, config.n_tracks, 0)
 
 
 def censor_at_floor(
@@ -240,7 +231,7 @@ def censor_at_floor(
     """
     from .rng import DRAW_BLOCK
     from .solvency import n_real_values
-    from .tracks import ID_DTYPE, TrackDataset
+    from .tracks import ID_DTYPE, _handover
 
     require_positive("momentum", momentum)
     require_nonnegative("floor_n", floor_n)
@@ -260,15 +251,8 @@ def censor_at_floor(
         np.take(dataset.ids[block], index, out=ids[part], mode="clip")
         np.take(dataset.radii[block], index, out=radii[part], mode="clip")
         filled = part.stop
-    ids.flags.writeable = False
-    radii.flags.writeable = False
-    return TrackDataset(
-        ids=ids,
-        radii=radii,
-        source_label=f"{dataset.source_label}|floor={floor_n!r}",
-        rows_read=len(dataset),
-        rows_dropped=len(dataset) - kept,
-    )
+    label = f"{dataset.source_label}|floor={floor_n!r}"
+    return _handover(ids, radii, label, len(dataset), len(dataset) - kept)
 
 
 def run_accrual(config: AccrualConfig) -> AccrualOutcome:

@@ -72,8 +72,9 @@ def n_real_values(radii, momentum: float):
     """Continuous indices r*p/hbar of many radii (a numpy array) at once.
 
     Element i equals ``action_index(radii[i], momentum)`` bit for bit;
-    the radii are taken as already validated.  An index past the float
-    range is inf, without a warning: callers check finiteness.
+    the radii are taken as already validated, as every ``TrackDataset``'s
+    are finite and > 0.  An index past the float range is inf, without a
+    warning: callers check finiteness.
     """
     require_nonnegative("momentum", momentum)
     with np.errstate(over="ignore"):

@@ -42,26 +42,6 @@ _ID_RANGE = np.iinfo(ID_DTYPE)
 MAX_TRACKS = int(_ID_RANGE.max)
 
 
-def _adoptable(values, dtype: type) -> bool:
-    """Whether ``values`` is a read-only ndarray of ``dtype`` that owns
-    its data, which no other array can write to."""
-    return (
-        type(values) is np.ndarray
-        and values.dtype == dtype
-        and values.base is None
-        and not values.flags.writeable
-    )
-
-
-def _read_only(values, dtype: type) -> np.ndarray:
-    """``values`` as is when it is adoptable; otherwise a read-only copy."""
-    if _adoptable(values, dtype):
-        return values
-    array = np.array(values, dtype=dtype)
-    array.flags.writeable = False
-    return array
-
-
 def _is_id(value: object) -> bool:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -69,12 +49,9 @@ def _is_id(value: object) -> bool:
 
 
 def _id_column(values) -> np.ndarray:
-    """``values`` as a read-only ``ID_DTYPE`` column, adopted as
-    ``_read_only`` adopts; an id the dtype cannot hold exactly is a
-    ``DataError`` naming the first such id, where a cast would truncate
-    or wrap it."""
-    if _adoptable(values, ID_DTYPE):
-        return values
+    """An ``ID_DTYPE`` copy of ``values``; an id the dtype cannot hold
+    exactly is a ``DataError`` naming the first such id, where a cast
+    would truncate or wrap it."""
     given = np.asarray(values)
     try:
         with np.errstate(invalid="ignore"):
@@ -87,8 +64,14 @@ def _id_column(values) -> np.ndarray:
         raise DataError(
             f"track id {bad!r} is not an integer in [{_ID_RANGE.min}, {_ID_RANGE.max}]"
         )
-    ids.flags.writeable = False
     return ids
+
+
+def _first_bad_radius(radii: np.ndarray) -> int | None:
+    """The index of the first radius that is not finite and > 0, or None."""
+    if not radii.size or (radii.min() > 0 and radii.max() < math.inf):
+        return None
+    return int((~(np.isfinite(radii) & (radii > 0))).argmax())
 
 
 @value_class(eq=False)
@@ -97,12 +80,10 @@ class TrackDataset:
 
     The tracks are held as two read-only columns of equal length:
     ``ids`` (int32 ordinals, so at most ``MAX_TRACKS`` = 2**31 - 1
-    tracks) and ``radii`` (float64, meters).  The constructor adopts a
-    column given as a read-only ndarray of that dtype which owns its
-    data (``base is None``), as the producers in qtf hand over the
-    columns they have just built; it copies any other column, so one
-    the caller can still write is never shared.  An id that is not an
-    integer in the int32 range is a ``DataError``.
+    tracks) and ``radii`` (float64, meters).  The constructor copies
+    both columns, so no array of its caller's is ever shared.  An id
+    that is not an integer in the int32 range, or a radius that is not
+    finite and > 0, is a ``DataError`` naming the first such value.
     """
 
     ids: np.ndarray
@@ -113,14 +94,18 @@ class TrackDataset:
 
     def __post_init__(self) -> None:
         ids = _id_column(self.ids)
-        radii = _read_only(self.radii, np.float64)
+        radii = np.array(self.radii, dtype=np.float64)
         if ids.ndim != 1 or ids.shape != radii.shape:
             raise DataError(f"ids {ids.shape} and radii {radii.shape} must be equal 1-d")
+        bad = _first_bad_radius(radii)
+        if bad is not None:
+            raise DataError(f"track radius {float(radii[bad])!r} is not finite and > 0")
         if ids.size != self.rows_read - self.rows_dropped:
             raise DataError(
                 f"record count {ids.size} != rows_read {self.rows_read}"
                 f" - rows_dropped {self.rows_dropped}"
             )
+        ids.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "radii", radii)
 
@@ -144,6 +129,22 @@ class TrackDataset:
         ``bench/spans.py`` reads them, to count tracks, and they go once it
         counts with ``len(dataset)``."""
         return tuple(zip(self.ids.tolist(), self.radii.tolist()))
+
+
+def _handover(
+    ids: np.ndarray, radii: np.ndarray, source_label: str, rows_read: int, rows_dropped: int
+) -> TrackDataset:
+    """A dataset that takes over the two columns a producer in qtf has
+    just built and holds no other reference to: they are made read-only,
+    not copied, and not checked, since the producer builds them
+    consistent."""
+    ids.flags.writeable = radii.flags.writeable = False
+    dataset = object.__new__(TrackDataset)
+    fields = {"ids": ids, "radii": radii, "source_label": source_label,
+              "rows_read": rows_read, "rows_dropped": rows_dropped}
+    for name, value in fields.items():
+        object.__setattr__(dataset, name, value)
+    return dataset
 
 
 @value_class
@@ -250,15 +251,7 @@ def parse_dataset(
             f" tracks ({source_label or 'text'})"
         )
     ids = np.arange(1, radii.size + 1, dtype=ID_DTYPE)
-    ids.flags.writeable = False
-    radii.flags.writeable = False
-    return TrackDataset(
-        ids=ids,
-        radii=radii,
-        source_label=source_label,
-        rows_read=rows_read,
-        rows_dropped=rows_dropped,
-    )
+    return _handover(ids, radii, source_label, rows_read, rows_dropped)
 
 
 def compute_stats(dataset: TrackDataset) -> TrackStats:

@@ -11,6 +11,7 @@ from oracles import mask_stats, oracle_stats
 import qtf.tracks
 from qtf.constants import get_consts
 from qtf.errors import DataError, DomainError
+from qtf.montecarlo import SimConfig, Uniform, censor_at_floor, generate_tracks
 from qtf.solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
 from qtf.tracks import (
     TrackDataset,
@@ -33,6 +34,27 @@ def load_fixture():
 
 def make(rows, unit="mm"):
     return parse_dataset("\n".join(rows), unit=unit)
+
+
+def caller_columns(kind):
+    """Ids [1, 2] and radii [0.5, 0.25] as ``kind`` of input to the
+    constructor, and the two lists or arrays through which their caller
+    can still write them."""
+    ids, radii = [1, 2], [0.5, 0.25]
+    if kind == "list":
+        return (ids, radii), (ids, radii)
+    if kind == "writable":
+        columns = np.array(ids), np.array(radii)
+        return columns, columns
+    if kind == "read-only view":
+        bases = np.array([*ids, 3]), np.array([*radii, 0.125])
+        views = bases[0][:2], bases[1][:2]
+    else:
+        dtypes = (np.int32, np.float64) if kind == "read-only owner" else (np.int64, np.float32)
+        views = bases = np.array(ids, dtype=dtypes[0]), np.array(radii, dtype=dtypes[1])
+    for view in views:
+        view.flags.writeable = False
+    return views, bases
 
 
 class TestParse:
@@ -157,49 +179,40 @@ class TestColumnarDataset:
             with pytest.raises(ValueError):
                 column[0] = 1
 
-    def test_constructor_copies_its_columns(self):
-        ids, radii = np.array([1, 2]), np.array([0.5, 0.25])
-        ds = TrackDataset(ids=ids, radii=radii, source_label="", rows_read=2, rows_dropped=0)
-        radii[0] = 9.0
-        assert ds.radii.tolist() == [0.5, 0.25]
-        assert ds.ids.dtype == np.int32 and ds.radii.dtype == np.float64
-
     @staticmethod
     def _dataset(ids, radii):
         return TrackDataset(
             ids=ids, radii=radii, source_label="", rows_read=len(ids), rows_dropped=0
         )
 
-    def test_constructor_adopts_fresh_read_only_columns(self):
-        ids, radii = np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])
-        ids.flags.writeable = radii.flags.writeable = False
-        ds = self._dataset(ids, radii)
-        assert np.shares_memory(ds.ids, ids) and np.shares_memory(ds.radii, radii)
-
-    def test_constructor_copies_a_read_only_view_of_a_writable_base(self):
-        ids_base, radii_base = np.array([1, 2, 3]), np.array([0.5, 0.25, 0.125])
-        ids, radii = ids_base[:2], radii_base[:2]
-        ids.flags.writeable = radii.flags.writeable = False
-        ds = self._dataset(ids, radii)
-        assert not np.shares_memory(ds.ids, ids_base)
-        assert not np.shares_memory(ds.radii, radii_base)
-        ids_base[0], radii_base[0] = 7, 9.0
+    @pytest.mark.parametrize(
+        "kind", ["list", "writable", "read-only view", "read-only owner", "other dtype"]
+    )
+    def test_constructor_never_shares_a_callers_array(self, kind):
+        given, owners = caller_columns(kind)
+        ds = self._dataset(*given)
+        for owner, value in zip(owners, (-7, -5.0)):
+            if isinstance(owner, np.ndarray):  # numpy lets an owner write again
+                owner.flags.writeable = True
+            owner[0] = value
         assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
-
-    def test_constructor_copies_a_read_only_column_of_another_dtype(self):
-        ids, radii = np.array([1, 2], dtype=np.int64), np.array([0.5, 0.25], dtype=np.float32)
-        ids.flags.writeable = radii.flags.writeable = False
-        ds = self._dataset(ids, radii)
         assert ds.ids.dtype == np.int32 and ds.radii.dtype == np.float64
-        assert ds.ids.tolist() == [1, 2] and ds.radii.tolist() == [0.5, 0.25]
+        assert not ds.ids.flags.writeable and not ds.radii.flags.writeable
 
-    def test_parsed_columns_are_adoptable(self):
-        # parse_dataset hands over read-only columns it alone owns, so
-        # a dataset built from them holds the same arrays
-        ds = parse_dataset("5.0\n6.0", unit="mm")
-        assert ds.ids.base is None and ds.radii.base is None
-        again = self._dataset(ds.ids, ds.radii)
-        assert again.ids is ds.ids and again.radii is ds.radii
+    @pytest.mark.parametrize("radius", [-1e-3, 0.0, math.nan, math.inf])
+    def test_a_radius_not_finite_and_positive_is_refused(self, radius):
+        with pytest.raises(DataError) as info:
+            self._dataset([1, 2, 3], [2e-3, radius, -1.0])
+        assert str(info.value) == f"track radius {radius!r} is not finite and > 0"
+
+    def test_producers_hand_over_read_only_columns_they_alone_own(self):
+        # "1e-322" mm underflows to 0 m: dropped from the column after it is built
+        parsed = parse_dataset("5.0\n0\n1e-322\n6.0", unit="mm")
+        generated = generate_tracks(SimConfig(7, 100, Uniform(1e-3, 2e-2)))
+        censored = censor_at_floor(generated, 5e12, 3.26e-19)
+        for ds in (parsed, generated, censored):
+            for column in (ds.ids, ds.radii):
+                assert not column.flags.writeable and column.base is None
 
     def test_column_lengths_must_agree(self):
         with pytest.raises(DataError):
@@ -310,6 +323,9 @@ class TestStats:
     @given(
         st.lists(st.floats(min_value=1e-4, max_value=0.05), min_size=1, max_size=300)
     )
+    # the band [0.010049341238349087, 0.07663929433424702] holds neither
+    # radius, so the in-band mean falls back to the mean, not to the band's edge
+    @example([0.010049341238349085, 0.07663929433424703])
     @settings(deadline=None)
     def test_matches_sort_based_oracle(self, values):
         ds = parse_dataset("\n".join(repr(v) for v in values), unit="m")
