@@ -29,9 +29,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import constants_snapshot, get_paper_values, sci
+from .constants import PAPER_INPUT, PAPER_REFERENCE, constants_snapshot, sci
 from .errors import DataError, DomainError, QtfError, require_nonnegative
-from .thermo import BIO_REFERENCE, ThermoQuery, audit_against_paper, compute_budget
+from .thermo import ThermoQuery, audit_against_paper, compute_budget
 
 # The track pipeline, the Monte Carlo harness and the solvency calculus
 # are imported by the subcommands that run them, so that ``constants``,
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 # analyze's --momentum and --floor, and a simulate config without the
 # momentum_source or floor_n key.
 DEFAULT_MOMENTUM = "paper"
-DEFAULT_FLOOR_N = get_paper_values().floor_n
+DEFAULT_FLOOR_N = PAPER_INPUT["floor_n"]
 
 # Each character str.splitlines breaks on, mapped to its escape as repr
 # writes it (repr, unlike the unicode_escape codec, imports no module),
@@ -190,11 +190,11 @@ def cmd_constants(args: argparse.Namespace) -> tuple[dict, dict | str]:
     snapshot = constants_snapshot()
     if args.format == "json":
         return manifest, {"constants": snapshot}
-    lines = []
-    for tier in ("physical", "paper"):
-        for name, value in snapshot[tier].items():
-            lines.append(f"{tier + '.' + name:<27} {value!r}")
-    return manifest, "\n".join(lines) + "\n"
+    rows = [(f"physical.{name}", value) for name, value in snapshot["physical"].items()]
+    for role, table in snapshot["paper"].items():
+        rows += [(f"paper.{role}.{name}", value) for name, value in table.items()]
+    width = max(len(name) for name, _ in rows)
+    return manifest, "".join(f"{name:<{width}} {value!r}\n" for name, value in rows)
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict | str]:
@@ -225,7 +225,7 @@ def _budget_body(query: ThermoQuery) -> dict:
     budget = compute_budget(query)
     applicable = query == ThermoQuery()
     records = audit_against_paper(budget) if applicable else []
-    scene_ratio = BIO_REFERENCE["wave_scene_j"] / BIO_REFERENCE["collapsed_scene_j"]
+    scene_ratio = PAPER_REFERENCE["wave_scene_j"] / PAPER_REFERENCE["collapsed_scene_j"]
     return {
         "query": asdict(query),
         "budget": asdict(budget),
@@ -233,7 +233,7 @@ def _budget_body(query: ThermoQuery) -> dict:
             "applicable": applicable,
             "records": [asdict(r) for r in records],
         },
-        "reference": {**BIO_REFERENCE, "asymmetry_scene_ratio": scene_ratio},
+        "reference": {**PAPER_REFERENCE, "asymmetry_scene_ratio": scene_ratio},
     }
 
 

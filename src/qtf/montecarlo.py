@@ -122,6 +122,11 @@ class SimConfig:
             raise DomainError(
                 f"n_tracks must be an integer in [1, {MAX_TRACKS}], got {self.n_tracks!r}"
             )
+        if not isinstance(self.distribution, RadiusDistribution):
+            raise DomainError(
+                f"distribution must be a Lognormal or a Uniform, got {self.distribution!r}",
+                "distribution",
+            )
 
 
 # Most steps an accrual run, or a whole sweep of runs, may take.  The

@@ -23,10 +23,8 @@ import math
 import numpy as np
 
 from ._value import value_class
-from .constants import get_consts
+from .constants import PHYSICAL
 from .errors import DomainError, require_nonnegative, require_positive
-
-_CONSTS = get_consts()
 
 
 @value_class
@@ -59,7 +57,7 @@ def action_index(radius: float, momentum: float) -> float:
     """Solvency index for one track: n = radius * momentum / hbar."""
     require_nonnegative("radius", radius)
     require_nonnegative("momentum", momentum)
-    n_real = radius * momentum / _CONSTS.hbar
+    n_real = radius * momentum / PHYSICAL["hbar"]
     if not math.isfinite(n_real):
         raise DomainError(
             f"solvency index r*p/hbar is not finite for radius {radius!r} m"
@@ -79,5 +77,5 @@ def n_real_values(radii, momentum: float):
     require_nonnegative("momentum", momentum)
     with np.errstate(over="ignore"):
         n = radii * momentum
-        n /= _CONSTS.hbar  # in place: the same two roundings
+        n /= PHYSICAL["hbar"]  # in place: the same two roundings
     return n

@@ -15,11 +15,12 @@ sustain time tau, frame rate f and energy per mode per frame e.
 
 Where the source publication also states a numeric magnitude for one of
 these quantities, the computed value is authoritative and the stated
-figure is retained only as an audit target; the auditor flags any
-relative gap above 10%.  Known outcomes on the stated default inputs:
-the decoherence rate and the per-frame speed-limit energy are both
-irreproducible from their own formulas and get flagged, the others
-agree to within a few percent.
+figure, in ``constants.PAPER_TARGET``, is only an audit target; the
+auditor flags any relative gap above 10%.  The defaults of
+``ThermoQuery`` are the stated inputs, ``constants.PAPER_INPUT``.  Known
+outcomes on them: the decoherence rate and the per-frame speed-limit
+energy are both irreproducible from their own formulas and get flagged,
+the others agree to within a few percent.
 """
 
 from __future__ import annotations
@@ -28,54 +29,23 @@ import math
 from dataclasses import fields
 
 from ._value import value_class
-from .constants import get_consts
+from .constants import PAPER_INPUT, PAPER_TARGET, PHYSICAL
 from .errors import DomainError, require_nonnegative, require_positive
-
-_CONSTS = get_consts()
 
 # Relative gap above which the auditor flags a quantity.
 FLAG_THRESHOLD = 0.10
-
-# Stated magnitudes for quantities the budget computes, used as audit
-# targets.  erase_total and per_frame assume the stated 1e6-bit symbolic
-# unit; decoherence_rate and erase_per_bit assume 300 K; min_sustain
-# assumes tau = 1 ms; dynamic_rate is the stated worked product for
-# 6e-14 J/mode/frame * 1e23 modes * 60 Hz.
-STATED_MAGNITUDES: dict[str, float] = {
-    "erase_per_bit": 3e-21,
-    "erase_total": 3e-15,
-    "decoherence_rate": 4e12,
-    "min_sustain": 1e-31,
-    "per_frame": 1e20,
-    "dynamic_rate": 3.6e11,
-}
-
-# Read-only biological / scene reference constants.  No biology is
-# modeled; these feed the budget report's reference table, which also
-# gives wave_scene_j / collapsed_scene_j as asymmetry_scene_ratio.
-# dynamic_rate_divergence_claim is the alternative ">> 1e25 J/s" figure
-# stated alongside the computed 3.6e11; both are reported, neither is
-# adjudicated here.
-BIO_REFERENCE: dict[str, float] = {
-    "phototransduction_j_per_photon": 1e-16,
-    "signal_stabilization_j_per_dot": 1e-6,
-    "collapsed_dot_j": 1e-3,
-    "wave_scene_j": 1e8,
-    "collapsed_scene_j": 1e4,
-    "dynamic_rate_divergence_claim_w": 1e25,
-}
 
 
 @value_class
 class ThermoQuery:
     """Inputs to the budget; defaults are the stated reference inputs."""
 
-    temperature: float = _CONSTS.default_temperature  # K
-    bits: float = 1e6                      # bits per rendered symbolic unit
-    n_modes: float = 1e23                  # interacting degrees of freedom
-    sustain_time: float = 1e-3             # s
-    frame_rate: float = 60.0               # Hz
-    energy_per_mode_per_frame: float = 6e-14  # J (opaque stated parameter)
+    temperature: float = PAPER_INPUT["temperature"]  # K
+    bits: float = PAPER_INPUT["bits"]
+    n_modes: float = PAPER_INPUT["n_modes"]
+    sustain_time: float = PAPER_INPUT["sustain_time"]  # s
+    frame_rate: float = PAPER_INPUT["frame_rate"]  # Hz
+    energy_per_mode_per_frame: float = PAPER_INPUT["energy_per_mode_per_frame"]  # J
 
     def __post_init__(self) -> None:
         require_positive("temperature", self.temperature)
@@ -125,14 +95,15 @@ def compute_budget(query: ThermoQuery) -> EnergyBudget:
     per-symbolic-unit usage.  A component that leaves the float range
     is a ``DomainError`` naming it.
     """
-    k_b, temperature = _CONSTS.k_b, query.temperature
+    h, hbar, k_b = PHYSICAL["h"], PHYSICAL["hbar"], PHYSICAL["k_b"]
+    temperature = query.temperature
     erase_per_bit = k_b * temperature * math.log(2.0)
-    ml_min_energy = _CONSTS.h / (4.0 * (1.0 / query.frame_rate))
+    ml_min_energy = h / (4.0 * (1.0 / query.frame_rate))
     budget = EnergyBudget(
         erase_per_bit=erase_per_bit,
         erase_total=query.bits * erase_per_bit,
-        decoherence_rate=k_b * temperature / _CONSTS.hbar,
-        min_sustain=_CONSTS.hbar / query.sustain_time,
+        decoherence_rate=k_b * temperature / hbar,
+        min_sustain=hbar / query.sustain_time,
         coherence_cost=query.n_modes * k_b * temperature,
         ml_min_energy=ml_min_energy,
         per_frame=query.bits * ml_min_energy,
@@ -149,23 +120,17 @@ def compute_budget(query: ThermoQuery) -> EnergyBudget:
 
 
 def audit_against_paper(budget: EnergyBudget) -> list[DiscrepancyRecord]:
-    """Compare computed budget fields against ``STATED_MAGNITUDES``.
+    """One record per budget field with a stated target, in the order of
+    ``constants.PAPER_TARGET``.
 
     Only meaningful when the budget was computed from the stated default
-    inputs; one record per quantity with a stated magnitude, in a fixed
-    order.
+    inputs.
     """
+    computed = vars(budget)
     records = []
-    for quantity, target in STATED_MAGNITUDES.items():
-        computed = getattr(budget, quantity)
-        gap = abs(computed - target) / abs(target)
-        records.append(
-            DiscrepancyRecord(
-                quantity=quantity,
-                computed=computed,
-                stated=target,
-                relative_gap=gap,
-                flagged=gap > FLAG_THRESHOLD,
-            )
-        )
+    for quantity, stated in PAPER_TARGET.items():
+        if quantity in computed:
+            value = computed[quantity]
+            gap = abs(value - stated) / abs(stated)
+            records.append(DiscrepancyRecord(quantity, value, stated, gap, gap > FLAG_THRESHOLD))
     return records

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._value import value_class
-from .constants import get_paper_values, sci
+from .constants import PAPER_INPUT, sci
 from .errors import DataError, DomainError, require_nonnegative
 from .solvency import ParticleSpec, momentum_from_energy, n_real_values
 
@@ -67,6 +67,24 @@ def _id_column(values) -> np.ndarray:
     return ids
 
 
+def _radius_column(values) -> np.ndarray:
+    """A float64 copy of ``values``; a radius that is not a real number (a
+    float, or an int that is not a bool) in the float range is a
+    ``DataError`` naming the first such radius."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64)
+    given = np.array(values, dtype=object)
+    radii = []
+    for value in given.ravel().tolist():
+        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            raise DataError(f"track radius {value!r} is not a real number")
+        try:
+            radii.append(float(value))
+        except OverflowError:
+            raise DataError(f"track radius {value!r} is not in the float range") from None
+    return np.array(radii, dtype=np.float64).reshape(given.shape)
+
+
 def _first_bad_radius(radii: np.ndarray) -> int | None:
     """The index of the first radius that is not finite and > 0, or None."""
     if not radii.size or (radii.min() > 0 and radii.max() < math.inf):
@@ -82,8 +100,9 @@ class TrackDataset:
     ``ids`` (int32 ordinals, so at most ``MAX_TRACKS`` = 2**31 - 1
     tracks) and ``radii`` (float64, meters).  The constructor copies
     both columns, so no array of its caller's is ever shared.  An id
-    that is not an integer in the int32 range, or a radius that is not
-    finite and > 0, is a ``DataError`` naming the first such value.
+    that is not an integer in the int32 range, or a radius that is not a
+    finite real number > 0 (a float, or an int that is not a bool), is a
+    ``DataError`` naming the first such value.
     """
 
     ids: np.ndarray
@@ -94,7 +113,7 @@ class TrackDataset:
 
     def __post_init__(self) -> None:
         ids = _id_column(self.ids)
-        radii = np.array(self.radii, dtype=np.float64)
+        radii = _radius_column(self.radii)
         if ids.ndim != 1 or ids.shape != radii.shape:
             raise DataError(f"ids {ids.shape} and radii {radii.shape} must be equal 1-d")
         bad = _first_bad_radius(radii)
@@ -332,15 +351,14 @@ def resolve_momentum(
             f"momentum_source must be one of {sorted(_MOMENTUM_LABELS)},"
             f" got {momentum_source!r}"
         ) from None
-    paper = get_paper_values()
     if label == MOMENTUM_PAPER:
         if particle is not None:
             raise DomainError(
                 "particle is used only by the derived momentum route,"
                 f" but momentum_source is {momentum_source!r}"
             )
-        return paper.momentum, label
-    particle = particle or ParticleSpec(paper.alpha_mass, paper.alpha_energy)
+        return PAPER_INPUT["momentum"], label
+    particle = particle or ParticleSpec(PAPER_INPUT["alpha_mass"], PAPER_INPUT["alpha_energy"])
     return momentum_from_energy(particle), label
 
 
@@ -348,7 +366,7 @@ def solvency_report(
     dataset: TrackDataset,
     particle: ParticleSpec | None = None,
     momentum_source: str = "paper",
-    floor_n: float = get_paper_values().floor_n,
+    floor_n: float = PAPER_INPUT["floor_n"],
 ) -> SolvencyReport:
     """Full pipeline result for one dataset: stats plus solvency indices.
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qtf.constants import get_consts
+from qtf.constants import PHYSICAL
 from qtf.errors import DomainError
 
 # ---------------------------------------------------------------------------
@@ -22,28 +22,28 @@ from qtf.errors import DomainError
 
 def landauer(temperature: float, bits: float) -> tuple[float, float]:
     """Erasure cost k_B*T*ln 2 per bit, and for ``bits`` bits."""
-    per_bit = get_consts().k_b * temperature * math.log(2.0)
+    per_bit = PHYSICAL["k_b"] * temperature * math.log(2.0)
     return per_bit, bits * per_bit
 
 
 def decoherence(temperature: float) -> float:
     """Thermal decoherence rate k_B*T/hbar."""
-    return get_consts().k_b * temperature / get_consts().hbar
+    return PHYSICAL["k_b"] * temperature / PHYSICAL["hbar"]
 
 
 def min_sustain(sustain_time: float) -> float:
     """Energy hbar/tau to sustain coherence for ``sustain_time``."""
-    return get_consts().hbar / sustain_time
+    return PHYSICAL["hbar"] / sustain_time
 
 
 def coherence(n_modes: float, temperature: float) -> float:
     """Entropic lower bound N*k_B*T to hold N modes coherent."""
-    return n_modes * get_consts().k_b * temperature
+    return n_modes * PHYSICAL["k_b"] * temperature
 
 
 def margolus_levitin(transition_time: float, n_transitions: float) -> tuple[float, float]:
     """Speed-limit energy h/(4*t), and for ``n_transitions`` transitions."""
-    ml_min = get_consts().h / (4.0 * transition_time)
+    ml_min = PHYSICAL["h"] / (4.0 * transition_time)
     return ml_min, n_transitions * ml_min
 
 

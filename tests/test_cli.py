@@ -14,7 +14,7 @@ import qtf.cli
 import qtf.montecarlo
 import qtf.tracks
 from conftest import HAS_BUILTIN_SHA256, run_cli
-from qtf.constants import get_paper_values
+from qtf.constants import PAPER_INPUT
 from qtf.errors import DomainError
 from qtf.solvency import action_index
 from qtf.tracks import FIXTURE_NAME, fixture_path
@@ -171,7 +171,8 @@ class TestConstantsCommand:
     def test_json_contains_both_tiers(self):
         proc = run_cli("constants", "--format", "json")
         doc = json.loads(proc.stdout)
-        assert doc["constants"]["paper"]["hbar"] == 1.055e-34
+        assert set(doc["constants"]["paper"]) == {"input", "target", "reference"}
+        assert doc["constants"]["paper"]["target"]["hbar"] == 1.055e-34
         assert doc["constants"]["physical"]["hbar"] == pytest.approx(
             1.0545718176461565e-34
         )
@@ -185,8 +186,9 @@ class TestConstantsCommand:
     def test_text_name_that_fills_its_column_keeps_a_space(self, capsys):
         assert qtf.cli.main(["constants", "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "physical.default_temperature 300.0" in lines
-        assert "physical.k_b                1.380649e-23" in lines
+        assert "paper.reference.dynamic_rate_divergence_claim_w 1e+25" in lines
+        assert f"{'physical.k_b':<47} 1.380649e-23" in lines
+        assert f"{'paper.input.temperature':<47} 300.0" in lines
 
     def test_repeated_runs_identical(self):
         assert run_cli("constants").stdout == run_cli("constants").stdout
@@ -653,7 +655,7 @@ class TestMainBoundary:
 class TestOneSourcePerDefault:
     def test_analyze_floor_default_is_the_paper_floor(self):
         args = qtf.cli._build_parser().parse_args(["analyze", FIXTURE])
-        assert args.floor == get_paper_values().floor_n
+        assert args.floor == PAPER_INPUT["floor_n"]
 
     def test_censor_mode_builds_one_report(self, tmp_path, monkeypatch):
         calls = []
@@ -717,8 +719,8 @@ def test_simulate_report_bytes_are_golden(tmp_path, dist, mode, fmt):
 
 # SHA-256 of the reports of the other subcommands, recorded before file
 # reading and report writing moved into one reader and one writer in
-# qtf.cli.  The constants text report is the one that changed since: its
-# physical.default_temperature line gained the space its value lacked.
+# qtf.cli.  The constants reports are the ones that changed since: both
+# came to print each of the paper's figures once, under paper.<role>.
 REPORT_ARGV = {
     "analyze": ["analyze", FIXTURE_NAME],
     "constants": ["constants"],
@@ -731,8 +733,8 @@ REPORT_SHA256 = {
     ("analyze", "json"): "d6cb208b6140881daa2943eaafa952eb5e533befa80bbb8b4fcc7a15be4b06db",
     ("analyze", "csv"): "7dcc184402f9f444721483af59415f9c2c2257743ddba1522b27cc27a5ac418f",
     ("analyze", "text"): "e09dfd0d5b613496161cab3a719fc08beed59c5031db03b88b0262ed6d79b218",
-    ("constants", "json"): "4e5d731ca431bf55739a065c7ac40454afa6a49362f381b89243e9a885e9cd7e",
-    ("constants", "text"): "6a96772bfeae59b72c847cfc12140d10ea62af51a6282941c60187fe8d7d1f2a",
+    ("constants", "json"): "c2667a563d18f229ed193e0be3d62bbb18645d9f60c85139e2dc823ab3ef4b29",
+    ("constants", "text"): "3048084e007036805ec40110a944bca6f672b0ba5abe47e7d585a0beae6cc266",
     ("budget", "json"): "1a9f567f4113bd29334252498e607400c66e6b17f02e8f905708f2fe82c17def",
     ("budget", "text"): "1be2b9dd65c080da83c9d4560bbff9e92ab96727ab8ca40673ae726128b2474c",
     ("budget-310K", "json"): "d7cc7e4f5c0ff9608c0bc0735769820f6b4e0b5fe5a8f6dd079a4d5c511f8245",
@@ -778,7 +780,7 @@ class TestOverflowIsAConfigError:
         err = self.run_config(tmp_path, capsys, config)
         assert "r*p/hbar is not finite" in err
         with pytest.raises(DomainError, match="not finite"):
-            action_index(1e308, get_paper_values().momentum)
+            action_index(1e308, PAPER_INPUT["momentum"])
 
     def test_lognormal_exponent_overflow_is_one_line(self, tmp_path):
         # mu + sigma * z leaves the float range: numpy must not warn

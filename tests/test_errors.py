@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import qtf.cli
-from qtf.constants import PhysConsts
 from qtf.errors import DomainError
 from qtf.montecarlo import (
     AccrualConfig,
@@ -80,7 +79,6 @@ SITES = {
     "n_real_values": ("momentum", ">=", lambda v: n_real_values(np.ones(1), v)),
     "solvency_report.floor_n": (
         "floor_n", ">=", lambda v: solvency_report(_dataset(), floor_n=v)),
-    "PhysConsts": ("k_b", ">", lambda v: PhysConsts(k_b=v)),
 }
 
 CASES = [

@@ -82,6 +82,15 @@ class TestGenerate:
             with pytest.raises(DomainError, match=message + str(n_tracks)):
                 SimConfig(seed=1, n_tracks=n_tracks, distribution=LOGNORMAL_B5)
 
+    @pytest.mark.parametrize(
+        "distribution", ["x", None, 1.0, {"kind": "uniform"}], ids=["str", "None", "float", "dict"]
+    )
+    def test_distribution_is_a_lognormal_or_a_uniform(self, distribution):
+        message = f"distribution must be a Lognormal or a Uniform, got {distribution!r}"
+        with pytest.raises(DomainError) as info:
+            SimConfig(1, 5, distribution)
+        assert (str(info.value), info.value.name) == (message, "distribution")
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(seed=1, n_tracks=0, distribution=LOGNORMAL_B5)

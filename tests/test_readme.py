@@ -1,5 +1,6 @@
 """The README's library example runs against the package as it is, so a
-public name that is deleted or renamed has to leave the README too."""
+public name that is deleted or renamed has to leave the README too, and
+the error lines it quotes are the ones the CLI writes."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import qtf.cli
 from conftest import SRC
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +46,14 @@ def test_every_input_the_cli_reads_is_documented():
     usage = readme_section("Command line")
     for flag in cli._BUDGET_FLAGS:
         assert f"[{flag} " in usage, flag
+
+
+def test_quoted_budget_errors_are_what_the_cli_writes(capsys):
+    usage = " ".join(readme_section("Command line").split())
+    quoted = re.findall(r"such as `(--[a-z]+ [^`]+)`.*?exits? 1 with `(qtf: error: [^`]*)`", usage)
+    assert [flag for flag, _ in quoted] == ["--temperature 1e308", "--fps 1e-320"]
+    for flag, line in quoted:
+        assert qtf.cli.main(["budget", *flag.split()]) == 1
+        err = capsys.readouterr().err
+        prefix, elided, _ = line.partition("...")
+        assert err.startswith(prefix) if elided else err == line + "\n", flag

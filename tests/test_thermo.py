@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 import qtf.cli
 from oracles import budget_reference
-from qtf.constants import get_consts
+from qtf.constants import PAPER_REFERENCE, PAPER_TARGET, PHYSICAL
 from qtf.errors import DomainError
 from qtf.thermo import (
-    BIO_REFERENCE,
-    STATED_MAGNITUDES,
     ThermoQuery,
     audit_against_paper,
     compute_budget,
@@ -57,7 +55,7 @@ class TestLandauer:
     @settings(deadline=None)
     def test_per_bit_over_kbt_is_ln2(self, t):
         per_bit = compute_budget(ThermoQuery(temperature=t, bits=1.0)).erase_per_bit
-        assert per_bit / (get_consts().k_b * t) == pytest.approx(math.log(2), rel=1e-12)
+        assert per_bit / (PHYSICAL["k_b"] * t) == pytest.approx(math.log(2), rel=1e-12)
 
     @given(t=temps, bits=counts, k=scales)
     @settings(deadline=None)
@@ -94,7 +92,7 @@ class TestMinSustain:
         assert e == pytest.approx(1.055e-31, rel=1e-3)
 
     def test_one_second_equals_hbar(self):
-        assert min_sustain_energy(1.0) == get_consts().hbar
+        assert min_sustain_energy(1.0) == PHYSICAL["hbar"]
 
     def test_inverse_scaling(self):
         assert min_sustain_energy(1e-6) == pytest.approx(MIN_SUSTAIN_1MS * 1e3, rel=1e-12)
@@ -117,8 +115,7 @@ class TestCoherenceCost:
         assert coherence_cost(0.0, 300.0) == 0.0
 
     def test_single_mode_is_kbt(self):
-        consts = get_consts()
-        assert coherence_cost(1.0, 300.0) == consts.k_b * 300.0
+        assert coherence_cost(1.0, 300.0) == PHYSICAL["k_b"] * 300.0
 
     @given(n=counts, t=temps, k=scales)
     @settings(deadline=None)
@@ -144,8 +141,7 @@ class TestMlBound:
         assert per_frame == pytest.approx(9.939105225e-27, rel=1e-12)
 
     def test_exact_inversion(self):
-        consts = get_consts()
-        ml_min, _ = ml_bound(1.0 / (consts.h / 4.0), 1.0)
+        ml_min, _ = ml_bound(1.0 / (PHYSICAL["h"] / 4.0), 1.0)
         assert ml_min == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_nonpositive_time(self):
@@ -157,7 +153,7 @@ class TestMlBound:
     @settings(deadline=None)
     def test_inversion_identity(self, t):
         ml_min, _ = ml_bound(1.0 / t, 1.0)
-        assert ml_min * 4.0 * t / get_consts().h == pytest.approx(1.0, rel=1e-12)
+        assert ml_min * 4.0 * t / PHYSICAL["h"] == pytest.approx(1.0, rel=1e-12)
 
 
 def dynamic_rendering_rate(energy_per_mode_per_frame, n_modes, frame_rate):
@@ -198,7 +194,7 @@ class TestAsymmetryRatio:
 
     def test_defaults_use_reference_table(self):
         assert self.ratio() == pytest.approx(
-            BIO_REFERENCE["wave_scene_j"] / BIO_REFERENCE["collapsed_scene_j"], rel=1e-12
+            PAPER_REFERENCE["wave_scene_j"] / PAPER_REFERENCE["collapsed_scene_j"], rel=1e-12
         )
 
     @given(t=temps, bits=counts, fps=st.floats(min_value=1e-2, max_value=1e4))
@@ -272,7 +268,12 @@ class TestBudgetAndAudit:
     def test_audit_flags_exactly_the_known_inconsistencies(self):
         records = audit_against_paper(compute_budget(ThermoQuery()))
         by_name = {r.quantity: r for r in records}
-        assert set(by_name) == set(STATED_MAGNITUDES)
+        # every budget target, in the order of the table
+        assert list(by_name) == [
+            "erase_per_bit", "erase_total", "decoherence_rate", "min_sustain", "per_frame",
+            "dynamic_rate",
+        ]
+        assert all(by_name[name].stated == PAPER_TARGET[name] for name in by_name)
         flagged = {name for name, r in by_name.items() if r.flagged}
         assert flagged == {"decoherence_rate", "per_frame"}
 
@@ -289,7 +290,7 @@ class TestBudgetAndAudit:
         for name, record in records.items():
             assert record.flagged == (record.relative_gap > 0.10), name
         # gaps of 9.5% and 10.5% either side of the 10% threshold
-        stated = STATED_MAGNITUDES["erase_per_bit"]
+        stated = PAPER_TARGET["erase_per_bit"]
         budget = compute_budget(ThermoQuery())
         for factor, flagged in ((1.095, False), (1.105, True)):
             [record] = [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fixture_builder import fixture_text, synthetic_radii_mm
 from oracles import mask_stats, oracle_stats
 import qtf.tracks
-from qtf.constants import get_consts
+from qtf.constants import PHYSICAL
 from qtf.errors import DataError, DomainError
 from qtf.montecarlo import SimConfig, Uniform, censor_at_floor, generate_tracks
 from qtf.solvency import ParticleSpec, action_index, momentum_from_energy, n_real_values
@@ -199,11 +199,28 @@ class TestColumnarDataset:
         assert ds.ids.dtype == np.int32 and ds.radii.dtype == np.float64
         assert not ds.ids.flags.writeable and not ds.radii.flags.writeable
 
-    @pytest.mark.parametrize("radius", [-1e-3, 0.0, math.nan, math.inf])
-    def test_a_radius_not_finite_and_positive_is_refused(self, radius):
+    # a real number is a float, or an int that is not a bool
+    @pytest.mark.parametrize(
+        "radius, rule",
+        [
+            (-1e-3, "finite and > 0"),
+            (0.0, "finite and > 0"),
+            (math.nan, "finite and > 0"),
+            (math.inf, "finite and > 0"),
+            ("a", "a real number"),
+            (1j, "a real number"),
+            (None, "a real number"),
+            (True, "a real number"),
+            ("0.5", "a real number"),
+            (b"2", "a real number"),
+            (10**400, "in the float range"),
+        ],
+        ids=["-0.001", "0.0", "nan", "inf", "a", "1j", "None", "True", "'0.5'", "b'2'", "10**400"],
+    )
+    def test_a_radius_not_finite_and_positive_is_refused(self, radius, rule):
         with pytest.raises(DataError) as info:
             self._dataset([1, 2, 3], [2e-3, radius, -1.0])
-        assert str(info.value) == f"track radius {radius!r} is not finite and > 0"
+        assert str(info.value) == f"track radius {radius!r} is not {rule}"
 
     def test_producers_hand_over_read_only_columns_they_alone_own(self):
         # "1e-322" mm underflows to 0 m: dropped from the column after it is built
@@ -466,7 +483,7 @@ class TestSolvencyReport:
     def test_index_is_checked_at_the_ends(self, mass, ulps, fractions):
         particle = ParticleSpec(mass=mass, kinetic_energy=1.0)
         momentum = momentum_from_energy(particle)
-        edge = np.finfo(np.float64).max * get_consts().hbar / momentum
+        edge = np.finfo(np.float64).max * PHYSICAL["hbar"] / momentum
         near = (np.array([edge]).view(np.int64) + np.array(ulps)).view(np.float64)
         radii = np.concatenate((near, np.array(fractions) * edge))
         ds = TrackDataset(

@@ -39,7 +39,6 @@ import qtf.solvency
 import qtf.thermo
 import qtf.tracks
 from qtf._value import value_class
-from qtf.constants import PaperValues, PhysConsts
 from qtf.errors import DataError, DomainError
 from qtf.montecarlo import AccrualConfig, Lognormal, SimConfig, Uniform, run_accrual
 from qtf.solvency import ParticleSpec
@@ -61,8 +60,6 @@ def _instances() -> list:
     budget = compute_budget(ThermoQuery())
     accrual = AccrualConfig(10.0, 1.0, 2.0, 0.01, 20.0)
     return [
-        PhysConsts(),
-        PaperValues(),
         ThermoQuery(),
         budget,
         audit_against_paper(budget)[0],
@@ -124,7 +121,7 @@ def test_every_value_class_is_covered():
         and value.__module__ == module.__name__
     }
     assert classes == {type(obj) for obj in INSTANCES}
-    assert len(INSTANCES) == 14
+    assert len(INSTANCES) == 12
 
 
 def test_signature(pair):
@@ -212,12 +209,11 @@ def test_frozen(pair):
     "call, error",
     [
         (lambda: ThermoQuery(temperature=-1), DomainError),
-        (lambda: PhysConsts(h=0.0), DomainError),
         (lambda: ParticleSpec(0.0, 1.0), DomainError),
         (lambda: AccrualConfig(1.0, 1.0, 2.0, 0.1, 0.01), DomainError),
         (lambda: TrackDataset([1], [1e-3], "", 2, 0), DataError),
     ],
-    ids=["ThermoQuery", "PhysConsts", "ParticleSpec", "AccrualConfig", "TrackDataset"],
+    ids=["ThermoQuery", "ParticleSpec", "AccrualConfig", "TrackDataset"],
 )
 def test_post_init_runs(call, error):
     with pytest.raises(error):
