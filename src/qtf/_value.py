@@ -70,6 +70,13 @@ def _init(self, /, *args, **kwargs):
         self.__post_init__()
 
 
+def set_fields(obj, /, **values) -> None:
+    """Set fields of the frozen ``obj``, from its ``__post_init__``: each
+    value as the check of its field returned it, such as a float."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @reprlib.recursive_repr()
 def _repr(self):
     items = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._value_names)

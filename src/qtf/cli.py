@@ -30,7 +30,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .constants import PAPER_INPUT, PAPER_REFERENCE, constants_snapshot, sci
-from .errors import DataError, DomainError, QtfError, require_nonnegative
+from .errors import (
+    DataError,
+    DomainError,
+    QtfError,
+    real_from_text,
+    require_nonnegative,
+    require_real,
+)
 from .thermo import ThermoQuery, audit_against_paper, compute_budget
 
 # The track pipeline, the Monte Carlo harness and the solvency calculus
@@ -143,10 +150,13 @@ class _Parser(argparse.ArgumentParser):
 
     A flag is spelled in full: argparse's prefix matching is off, here
     and in each subparser, which argparse builds as this class.  Any
-    argument that ``float()`` reads, such as ``-1e5`` or ``-inf``, is a
-    value, not an unknown option, so a negative flag value in any
-    spelling reaches the domain check.  argparse itself takes only
-    ``-1`` and ``-.5`` for negative numbers; its matcher is private.
+    argument that ``float()`` reads, such as ``-1e5``, ``-inf`` or
+    ``-1_000``, is a value, not an unknown option.  A number flag reads
+    its value in the grammar of a radius row (``_number``), so a
+    negative value in that grammar reaches the domain check, and one
+    only ``float()`` reads, such as ``-1_000``, is an invalid value of
+    the flag.  argparse itself takes only ``-1`` and ``-.5`` for
+    negative numbers; its matcher is private.
     """
 
     class _Number:
@@ -290,19 +300,6 @@ def _config_int(config: dict, key: str) -> int:
     return value
 
 
-def _config_float(config: dict, key: str, path: str = "") -> float:
-    """A real config value; integers and floats are accepted, booleans,
-    strings and every other JSON type are not.  An error names the key
-    after ``path``, the keys of the objects that hold it."""
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{path}{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{path}{key} is out of the float range, got {value!r}") from None
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a key given twice is a config error, not
     a silent last-one-wins."""
@@ -353,10 +350,11 @@ def _caller_names(table: dict[str, str], path: str = ""):
 def _build(make, config: dict, table: dict[str, str], path: str = "",
            keys: set[str] | frozenset[str] = frozenset(), **fixed):
     """``make`` called with the values of ``table``'s keys in ``config``,
-    which holds those keys and ``keys`` and no other, and with ``fixed``;
-    its errors name the keys after ``path``."""
+    which holds those keys and ``keys`` and no other, each a real number
+    (``errors.require_real``), and with ``fixed``; its errors name the
+    keys after ``path``."""
     _require_keys(config, table.keys() | keys, path=path)
-    values = {param: _config_float(config, key, path) for key, param in table.items()}
+    values = {param: require_real(path + key, config[key]) for key, param in table.items()}
     with _caller_names(table, path):
         return make(**values, **fixed)
 
@@ -394,7 +392,9 @@ def _simulate_tracks(config: dict, seed: int, fmt: str) -> dict | str:
     # Every key is checked before any track is drawn; the optional ones
     # the config leaves out take the defaults of analyze's flags.
     particle = _parse_particle(config.get("particle"))
-    floor_n = _config_float(config, "floor_n") if "floor_n" in config else DEFAULT_FLOOR_N
+    floor_n = DEFAULT_FLOOR_N
+    if "floor_n" in config:
+        floor_n = require_real("floor_n", config["floor_n"])
     momentum_source = config.get("momentum_source", DEFAULT_MOMENTUM)
     sim = SimConfig(
         seed=seed,
@@ -468,7 +468,7 @@ def _simulate_sweep(config: dict, fmt: str) -> dict | str:
     if not (isinstance(rates_w, list) and rates_w):
         raise DomainError(f"{key} must be a non-empty list of rates")
     items = {f"{key}[{i}]": rate for i, rate in enumerate(rates_w)}
-    rates = [_config_float(items, item) for item in items]
+    rates = [require_real(item, rate) for item, rate in items.items()]
     # every rate is checked, in order, before the first run
     for item, rate in zip(items, rates):
         with _caller_names({item: "budget_rate"}):
@@ -547,6 +547,15 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict | str]:
 # ---------------------------------------------------------------------------
 
 
+def _number(text: str) -> float:
+    """The value of a number flag, in the grammar of a radius row
+    (``errors.real_from_text``)."""
+    try:
+        return real_from_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _out_path(value: str) -> str:
     """The value of ``--out``.  An empty one, as an unset shell variable
     gives, is a usage error rather than a quiet write to stdout."""
@@ -576,7 +585,7 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help="input file, one radius per row")
     p.add_argument("--unit", choices=["mm", "m"], default="mm")
     p.add_argument("--momentum", choices=["paper", "derived"], default=DEFAULT_MOMENTUM)
-    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR_N, help="action floor n")
+    p.add_argument("--floor", type=_number, default=DEFAULT_FLOOR_N, help="action floor n")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_analyze)
@@ -584,7 +593,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("budget", help="compute the energy budget and audit")
     stated = ThermoQuery()  # the defaults are the stated reference inputs
     for flag, (field, help_text) in _BUDGET_FLAGS.items():
-        p.add_argument(flag, type=float, default=getattr(stated, field), help=help_text)
+        p.add_argument(flag, type=_number, default=getattr(stated, field), help=help_text)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.set_defaults(func=cmd_budget)

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._value import value_class
-from .errors import DataError, DomainError, require_nonnegative, require_positive
+from ._value import set_fields, value_class
+from .errors import DataError, DomainError, require_nonnegative, require_positive, require_real
 
 # The draws, the solvency calculus and the track layer are imported by
 # the functions that use them, so that accrual and sweep runs never load
@@ -41,9 +41,10 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
+        mu = require_real("mu", self.mu)
+        if not math.isfinite(mu):
             raise DomainError(f"mu must be finite, got {self.mu}", "mu")
-        require_nonnegative("sigma", self.sigma)
+        set_fields(self, mu=mu, sigma=require_nonnegative("sigma", self.sigma))
 
     def sample(self, seed: int, n: int, start: int = 0) -> np.ndarray:
         """Draws start..start+n-1: draw i is exp(mu + sigma * std_normal(seed, i)),
@@ -69,9 +70,11 @@ class Uniform:
     hi: float
 
     def __post_init__(self) -> None:
-        require_positive("lo", self.lo)
-        if not (math.isfinite(self.hi) and self.hi > self.lo):
+        lo = require_positive("lo", self.lo)
+        hi = require_real("hi", self.hi)
+        if not (math.isfinite(hi) and hi > lo):
             raise DomainError(f"hi must be finite and > lo, got {self.hi}", "hi")
+        set_fields(self, lo=lo, hi=hi)
 
     def sample(self, seed: int, n: int, start: int = 0) -> np.ndarray:
         """Draws start..start+n-1: draw i is lo + (hi - lo) * unit_uniform(seed, i),
@@ -90,8 +93,8 @@ RadiusDistribution = Lognormal | Uniform
 
 def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
     """Lognormal whose distribution mean and standard deviation match."""
-    require_positive("mean", mean)
-    require_positive("sd", sd)
+    mean = require_positive("mean", mean)
+    sd = require_positive("sd", sd)
     try:
         s2 = math.log(1.0 + (sd / mean) ** 2)
     except OverflowError:  # (sd/mean)**2 leaves the float range
@@ -146,10 +149,14 @@ class AccrualConfig:
     max_time: float
 
     def __post_init__(self) -> None:
-        require_nonnegative("initial_budget", self.initial_budget)
-        require_nonnegative("budget_rate", self.budget_rate)
-        require_nonnegative("cost_rate", self.cost_rate)
-        require_positive("time_step", self.time_step)
+        set_fields(
+            self,
+            initial_budget=require_nonnegative("initial_budget", self.initial_budget),
+            budget_rate=require_nonnegative("budget_rate", self.budget_rate),
+            cost_rate=require_nonnegative("cost_rate", self.cost_rate),
+            time_step=require_positive("time_step", self.time_step),
+            max_time=require_real("max_time", self.max_time),
+        )
         if not (math.isfinite(self.max_time) and self.max_time >= self.time_step):
             raise DomainError(
                 f"max_time must be >= time_step, got {self.max_time}", "max_time"

@@ -22,21 +22,24 @@ import math
 
 import numpy as np
 
-from ._value import value_class
+from ._value import set_fields, value_class
 from .constants import PHYSICAL
 from .errors import DomainError, require_nonnegative, require_positive
 
 
 @value_class
 class ParticleSpec:
-    """Particle mass (kg) and kinetic energy (J)."""
+    """Particle mass (kg) and kinetic energy (J), held as floats."""
 
     mass: float
     kinetic_energy: float
 
     def __post_init__(self) -> None:
-        require_positive("mass", self.mass)
-        require_nonnegative("kinetic_energy", self.kinetic_energy)
+        set_fields(
+            self,
+            mass=require_positive("mass", self.mass),
+            kinetic_energy=require_nonnegative("kinetic_energy", self.kinetic_energy),
+        )
 
 
 def momentum_from_energy(particle: ParticleSpec) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-from ._value import value_class
+from ._value import set_fields, value_class
 from .constants import PAPER_INPUT, PAPER_TARGET, PHYSICAL
 from .errors import DomainError, require_nonnegative, require_positive
 
@@ -38,7 +38,8 @@ FLAG_THRESHOLD = 0.10
 
 @value_class
 class ThermoQuery:
-    """Inputs to the budget; defaults are the stated reference inputs."""
+    """Inputs to the budget; defaults are the stated reference inputs.
+    Each input is a real number, held as a float."""
 
     temperature: float = PAPER_INPUT["temperature"]  # K
     bits: float = PAPER_INPUT["bits"]
@@ -48,12 +49,16 @@ class ThermoQuery:
     energy_per_mode_per_frame: float = PAPER_INPUT["energy_per_mode_per_frame"]  # J
 
     def __post_init__(self) -> None:
-        require_positive("temperature", self.temperature)
-        require_nonnegative("bits", self.bits)
-        require_nonnegative("n_modes", self.n_modes)
-        require_positive("sustain_time", self.sustain_time)
-        require_positive("frame_rate", self.frame_rate)
-        require_nonnegative("energy_per_mode_per_frame", self.energy_per_mode_per_frame)
+        set_fields(
+            self,
+            temperature=require_positive("temperature", self.temperature),
+            bits=require_nonnegative("bits", self.bits),
+            n_modes=require_nonnegative("n_modes", self.n_modes),
+            sustain_time=require_positive("sustain_time", self.sustain_time),
+            frame_rate=require_positive("frame_rate", self.frame_rate),
+            energy_per_mode_per_frame=require_nonnegative(
+                "energy_per_mode_per_frame", self.energy_per_mode_per_frame),
+        )
         # compute_budget's transition time; checked here to name the input
         if not math.isfinite(1.0 / self.frame_rate):
             raise DomainError(

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._value import value_class
+from ._value import set_fields, value_class
 from .constants import PAPER_INPUT, sci
-from .errors import DataError, DomainError, require_nonnegative
+from .errors import DataError, DomainError, is_real, real_from_text, require_nonnegative
 from .solvency import ParticleSpec, momentum_from_energy, n_real_values
 
 MOMENTUM_PAPER = "paper-stated"
@@ -43,28 +43,32 @@ MAX_TRACKS = int(_ID_RANGE.max)
 
 
 def _is_id(value: object) -> bool:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return isinstance(value, int) and _ID_RANGE.min <= value <= _ID_RANGE.max
+    """Whether ``value`` is a real number (``errors.is_real``, so not a
+    bool) with an integral value in the ``ID_DTYPE`` range."""
+    return is_real(value) and _ID_RANGE.min <= value <= _ID_RANGE.max and value == int(value)
 
 
 def _id_column(values) -> np.ndarray:
-    """An ``ID_DTYPE`` copy of ``values``; an id the dtype cannot hold
-    exactly is a ``DataError`` naming the first such id, where a cast
-    would truncate or wrap it."""
-    given = np.asarray(values)
-    try:
+    """An ``ID_DTYPE`` copy of ``values``; an id that is not an integral
+    real number the dtype can hold exactly is a ``DataError`` naming the
+    first such id, where a cast would truncate or wrap it, or read a bool
+    as 0 or 1."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         with np.errstate(invalid="ignore"):
-            ids = given.astype(ID_DTYPE)
-        exact = bool((ids == given).all())
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        bad = next(value for value in given.ravel().tolist() if not _is_id(value))
-        raise DataError(
-            f"track id {bad!r} is not an integer in [{_ID_RANGE.min}, {_ID_RANGE.max}]"
-        )
-    return ids
+            ids = values.astype(ID_DTYPE)
+        if (ids == values).all():
+            return ids
+        flat = values.ravel().tolist()
+    else:
+        given = np.array(values, dtype=object)
+        flat = given.ravel().tolist()
+        if all(map(_is_id, flat)):
+            ids = np.array([int(value) for value in flat], dtype=ID_DTYPE)
+            return ids.reshape(given.shape)
+    bad = next(value for value in flat if not _is_id(value))
+    raise DataError(
+        f"track id {bad!r} is not an integer in [{_ID_RANGE.min}, {_ID_RANGE.max}]"
+    )
 
 
 def _radius_column(values) -> np.ndarray:
@@ -76,7 +80,7 @@ def _radius_column(values) -> np.ndarray:
     given = np.array(values, dtype=object)
     radii = []
     for value in given.ravel().tolist():
-        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        if not is_real(value):
             raise DataError(f"track radius {value!r} is not a real number")
         try:
             radii.append(float(value))
@@ -125,8 +129,7 @@ class TrackDataset:
                 f" - rows_dropped {self.rows_dropped}"
             )
         ids.flags.writeable = radii.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "radii", radii)
+        set_fields(self, ids=ids, radii=radii)
 
     def __len__(self) -> int:
         return self.ids.size
@@ -159,10 +162,8 @@ def _handover(
     consistent."""
     ids.flags.writeable = radii.flags.writeable = False
     dataset = object.__new__(TrackDataset)
-    fields = {"ids": ids, "radii": radii, "source_label": source_label,
-              "rows_read": rows_read, "rows_dropped": rows_dropped}
-    for name, value in fields.items():
-        object.__setattr__(dataset, name, value)
+    set_fields(dataset, ids=ids, radii=radii, source_label=source_label,
+               rows_read=rows_read, rows_dropped=rows_dropped)
     return dataset
 
 
@@ -207,16 +208,16 @@ def parse_dataset(
     """Parse delimited text with one radius per row into a dataset.
 
     A leading byte-order mark is ignored.  Lines starting with ``#``
-    are ignored outright.  A row is numeric when it is an ASCII decimal
-    number (``12``, ``-1.5``, ``.5``, ``7.42e-3``) or a spelling of nan
-    or inf; digit-group underscores and non-ASCII digits make a row
-    non-numeric.  A non-numeric first row is treated as a header.  Every
-    other row is counted: blank, non-numeric, non-finite, and
-    non-positive rows are dropped (never aborting the parse), as is a
-    positive row whose radius in meters underflows to 0; valid rows
-    become tracks in input order, converted to meters, with ids 1, 2, ...
-    Undecodable bytes, zero valid rows or more than ``MAX_TRACKS`` are
-    hard errors.
+    are ignored outright.  A row is numeric when ``errors.real_from_text``
+    reads it, as the number flags are read: an ASCII decimal number
+    (``12``, ``-1.5``, ``.5``, ``7.42e-3``) or a spelling of nan or inf;
+    digit-group underscores and non-ASCII digits make a row non-numeric.
+    A non-numeric first row is treated as a header.  Every other row is
+    counted: blank, non-numeric, non-finite, and non-positive rows are
+    dropped (never aborting the parse), as is a positive row whose
+    radius in meters underflows to 0; valid rows become tracks in input
+    order, converted to meters, with ids 1, 2, ...  Undecodable bytes,
+    zero valid rows or more than ``MAX_TRACKS`` are hard errors.
     """
     if unit not in ("mm", "m"):
         raise DomainError(f"unit must be 'mm' or 'm', got {unit!r}")
@@ -236,14 +237,10 @@ def parse_dataset(
         line = raw_line.strip()
         if line.startswith("#"):
             continue
-        value = None
-        # float() also takes digit-group underscores ("1_5") and non-ASCII
-        # digits; without them its grammar is the plain decimal one.
-        if line and line.isascii() and "_" not in line:
-            try:
-                value = float(line)
-            except ValueError:
-                value = None
+        try:
+            value = real_from_text(line)
+        except ValueError:
+            value = None
         if first_data_row and line and value is None:
             # header row: not counted
             first_data_row = False

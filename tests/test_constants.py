@@ -1,5 +1,6 @@
-"""The constant tables: their values, that they are read-only, and that
-only the auditor and the snapshot read the paper's stated targets."""
+"""The constant tables: their values, that they are read-only, that
+only the auditor and the snapshot read the paper's stated targets, and
+that ``qtf.constants`` and ``qtf.errors`` load no numpy."""
 
 import ast
 import math
@@ -113,8 +114,10 @@ def target_reads(path: Path) -> set[str]:
     """Each place in ``path`` that reads ``PAPER_TARGET``, as
     ``FILE:SCOPE``: the dotted names of the classes and functions around
     it, or ``<module>``.  A read is the name, an attribute of that name,
-    the name as a string (as ``getattr`` takes it) or an import of it
-    under another name; the table's own definition is not a read."""
+    the name as a string (as ``getattr`` takes it), an import of it
+    under another name, or a ``["target"]`` subscript, as in
+    ``constants_snapshot()["paper"]["target"]``; the table's own
+    definition is not a read."""
     reads = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -129,6 +132,8 @@ def target_reads(path: Path) -> set[str]:
                 or (isinstance(child, ast.Constant) and child.value == "PAPER_TARGET")
                 or (isinstance(child, ast.alias) and child.name == "PAPER_TARGET"
                     and child.asname not in (None, "PAPER_TARGET"))
+                or (isinstance(child, ast.Subscript) and isinstance(child.slice, ast.Constant)
+                    and child.slice.value == "target")
             ):
                 reads.add(f"{path.name}:{scope}")
             visit(child, scope)
@@ -145,8 +150,11 @@ def target_reads(path: Path) -> set[str]:
         ("class C:\n    def m(self):\n        return getattr(c, 'PAPER_TARGET')", {"C.m"}),
         ("from .constants import PAPER_TARGET as T", {"<module>"}),
         ("from .constants import PAPER_TARGET\nPAPER_TARGET = {}", set()),
+        ("def f():\n    return constants_snapshot()['paper']['target']['hbar']", {"f"}),
+        ("x = {'target': 1}\nx['input']", set()),
     ],
-    ids=["name", "attribute", "string", "renaming import", "import and definition"],
+    ids=["name", "attribute", "string", "renaming import", "import and definition",
+         "snapshot subscript", "other subscript"],
 )
 def test_every_form_of_target_read_is_found(tmp_path, code, reads):
     path = tmp_path / "probe.py"
@@ -158,3 +166,31 @@ def test_only_the_auditor_and_the_snapshot_read_the_targets():
     # stated magnitudes are audit targets, never inputs to a computation
     reads = set().union(*(target_reads(p) for p in sorted((SRC / "qtf").glob("*.py"))))
     assert reads == TARGET_READERS
+
+
+def imported_modules(module: str) -> set[str]:
+    """The top-level names of the modules that ``qtf.<module>`` imports,
+    with those that the qtf modules it imports import in turn."""
+    found, todo, seen = set(), [module], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((SRC / "qtf" / f"{name}.py").read_bytes())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                todo.append(node.module or "__init__")
+            elif isinstance(node, ast.ImportFrom):
+                found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("module", ["constants", "errors"])
+def test_the_tables_and_the_input_rules_load_no_numpy(module):
+    # a subcommand that checks its inputs and reads the tables, such as
+    # budget, can then run without numpy
+    assert "numpy" in imported_modules("tracks")  # the walk finds it
+    assert "numpy" not in imported_modules(module)

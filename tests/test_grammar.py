@@ -1,12 +1,16 @@
 """The command line accepts exactly the documented grammar.
 
 A flag is spelled in full: a prefix of one (``--temp``, ``--form``) is
-an unrecognized argument.  A ``float`` flag takes every value that
-``float()`` reads, given as ``--flag=value`` or as ``--flag value``, so
-a negative value in any spelling (``-1e5``, ``-inf``, ``-nan``) reaches
-the domain check instead of being taken for an option.  ``--out`` takes
-a path, never the empty string.  A rejected call exits 1 with one
-``qtf: error:`` line and nothing on stdout.
+an unrecognized argument.  A number flag reads its value, given as
+``--flag=value`` or as ``--flag value``, in the one grammar of a number
+written as text, which a radius row is read in too
+(``qtf.errors.real_from_text``): what ``float()`` reads from ASCII
+without an underscore.  So a negative value in any spelling of that
+grammar (``-1e5``, ``-inf``, ``-nan``) reaches the domain check instead
+of being taken for an option, and a spelling only ``float()`` reads
+(``-1_000``, ``3_00``, ``١e12``) is an invalid value of its flag.
+``--out`` takes a path, never the empty string.  A rejected call exits
+1 with one ``qtf: error:`` line and nothing on stdout.
 
 ``qtf.cli._Parser`` sets a private argparse attribute to read negative
 numbers, so CI runs this module on Python 3.10 and 3.12 as well.
@@ -32,9 +36,14 @@ FLOAT_FLAGS = [
 ]
 
 NEGATIVE_SPELLINGS = [
-    "-5", "-.5", "-1e5", "-1E-05", "-1e+5", "-2.5e-3", "-1_000",
+    "-5", "-.5", "-1e5", "-1E-05", "-1e+5", "-2.5e-3",
     "-inf", "-Infinity", "-nan",
 ]
+
+# spellings float() reads that a radius row, and so a number flag, does
+# not: digit-group underscores and non-ASCII digits ("-1_000" is still
+# taken for a value, not an option, so the error names its flag)
+REFUSED_SPELLINGS = ["-1_000", "1_0e11", "3_00", "\u0661e12", "\uff11"]
 
 
 def _one_error_line(capsys, argv: list[str]) -> str:
@@ -57,6 +66,20 @@ def test_negative_value_reaches_the_domain_check(capsys, command, flag, bound, v
     given = [f"{flag}={value}"] if joined else [flag, value]
     err = _one_error_line(capsys, [*command, *given])
     assert err == f"qtf: error: {flag} must be finite and {bound}, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+@pytest.mark.parametrize("value", REFUSED_SPELLINGS, ids=ascii)
+@pytest.mark.parametrize(
+    "command, flag, bound", FLOAT_FLAGS, ids=[flag for _, flag, _ in FLOAT_FLAGS]
+)
+def test_a_spelling_outside_the_grammar_is_an_invalid_value(
+    capsys, command, flag, bound, value, joined
+):
+    float(value)  # each one float() reads
+    given = [f"{flag}={value}"] if joined else [flag, value]
+    err = _one_error_line(capsys, [*command, *given])
+    assert err == f"qtf: error: argument {flag}: invalid float value: {value!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -248,6 +248,11 @@ class TestColumnarDataset:
             ([float("nan")], "nan"),
             ([1.0, 2.5], "2.5"),
             (["a"], "'a'"),
+            # a bool is not an integer id, though a cast reads it as 0 or 1
+            ([True], "True"),
+            ([1, False], "False"),  # np.asarray would make it an int 0
+            (np.array([True, False]), "True"),
+            ([np.bool_(True)], repr(np.bool_(True))),
         ],
     )
     def test_ids_an_int32_cannot_hold_are_refused(self, ids, named):
@@ -258,6 +263,10 @@ class TestColumnarDataset:
         ds = self._dataset([-(2**31), 2.0, 2**31 - 1], [0.5, 0.25, 0.125])
         assert ds.ids.dtype == np.int32
         assert ds.ids.tolist() == [-(2**31), 2, 2**31 - 1]
+
+    def test_numpy_scalars_are_real_numbers(self):
+        ds = self._dataset([np.int64(3), np.float32(4.0)], [np.float32(0.5), np.int8(2)])
+        assert ds.ids.tolist() == [3, 4] and ds.radii.tolist() == [0.5, 2.0]
 
     def test_equality_compares_columns_and_provenance(self):
         assert make(["5.0", "6.0"]) == make(["5.0", "6.0"])
